@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError, ShapeError
-from .masking import GoalSpec, MaskingConfig, MaskingResult, build_constraints, mask_signal
+from .masking import GoalSpec, MaskingConfig, MaskingResult, mask_signal
 from .microdata import (
     SelectionSpec,
     apply_plan,
@@ -155,8 +155,6 @@ def _goal_echo(entries: list) -> list:
 
 def _report_payload(result: MaskingResult, config: MaskingConfig, goal_entries: list) -> dict:
     dec = result.decomposition
-    base_approx = result.wrm.apply(dec.approx)
-    lp = build_constraints(result.wrm, base_approx, config.goals)
     checks = []
     for check in result.goal_report or ():
         item = {
@@ -187,11 +185,11 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, goal_entries: 
         "q": _vec(result.q),
         "a_k": _vec(dec.approx),
         "details": [_vec(band) for band in dec.details],
-        "A_k": _vec(base_approx),
+        "A_k": _vec(result.base_approx),
         "goals": _goal_echo(goal_entries),
         "lp_rows": [
             {"coeffs": _vec(row.coeffs), "relation": row.relation, "rhs": _sig12(row.rhs)}
-            for row in lp.rows
+            for row in result.lp.rows
         ],
         "a_k_hat": _vec(result.new_coeffs),
         "A_k_hat": _vec(result.new_approx),

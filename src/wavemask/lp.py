@@ -1,10 +1,11 @@
-"""Dense two-phase primal simplex for the small constraint systems built here.
+"""Dense two-phase primal simplex for the goal systems built here.
 
-The problems are tiny (a handful of variables, tens of rows), so the solver
-favors robustness and determinism over speed: Bland's rule for anti-cycling,
-free variables split into positive parts, explicit tableau arithmetic in
-float64.  Infeasibility and unboundedness are reported as statuses, never
-raised.
+A system has a free variable per approximation coefficient and a row per
+goal: hundreds of each, e.g. 512 variables by 256 rows.  Steps are vectorized
+over the tableau, yet robustness and determinism come first: Bland's rule for
+anti-cycling, free variables split into positive parts, explicit tableau
+arithmetic in float64.  Infeasibility and unboundedness are reported as
+statuses, never raised.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ class _Tableau:
     def pivot(self, row: int, col: int) -> None:
         t = self.t
         t[row] /= t[row, col]
-        for r in range(t.shape[0]):
-            if r != row and abs(t[r, col]) > 0.0:
-                t[r] -= t[r, col] * t[row]
+        others = np.flatnonzero(t[:, col])
+        others = others[others != row]
+        t[others] -= t[others, col][:, None] * t[row]
         self.basis[row] = col
 
     def set_objective(self, costs: np.ndarray) -> None:
@@ -155,23 +156,17 @@ class _Tableau:
         """Bland's rule simplex; returns "optimal" or "unbounded"."""
         t = self.t
         for _ in range(10_000 * (self.nrows + self.ncols + 1)):
-            entering = -1
-            for j in range(self.ncols):
-                if t[-1, j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
+            improving = np.flatnonzero(t[-1, :-1] < -PIVOT_TOL)
+            if improving.size == 0:
                 return "optimal"
-            leaving, best = -1, None
-            for i in range(self.nrows):
-                a = t[i, entering]
-                if a > PIVOT_TOL:
-                    ratio = max(t[i, -1], 0.0) / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best, leaving = key, i
-            if leaving < 0:
+            entering = int(improving[0])
+            column = t[:-1, entering]
+            rows = np.flatnonzero(column > PIVOT_TOL)
+            if rows.size == 0:
                 return "unbounded"
+            ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
+            # exact ratio ties go to the lowest basic index
+            leaving = int(min(rows[ratios == ratios.min()], key=self.basis.__getitem__))
             self.pivot(leaving, entering)
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
 
@@ -216,13 +211,9 @@ def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
         # a basic artificial sits within FEAS_TOL of zero here; snap it to
         # exactly zero so a small pivot element cannot inflate the residue
         tab.t[i, -1] = 0.0
-        pivot_col = -1
-        for j in range(art_at):
-            if abs(tab.t[i, j]) > PIVOT_TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            tab.pivot(i, pivot_col)
+        candidates = np.flatnonzero(np.abs(tab.t[i, :art_at]) > PIVOT_TOL)
+        if candidates.size:
+            tab.pivot(i, int(candidates[0]))
             keep_rows.append(i)
         # else: row is redundant (all-zero over real columns) and is dropped
     body = tab.t[np.array(keep_rows + [tab.nrows], dtype=int)][:, list(range(art_at)) + [-1]]
@@ -232,8 +223,7 @@ def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
 
 def _extract(tab: _Tableau, num_vars: int) -> np.ndarray:
     full = np.zeros(tab.ncols)
-    for i, b in enumerate(tab.basis):
-        full[b] = tab.t[i, -1]
+    full[tab.basis] = tab.t[:-1, -1]
     return full[:num_vars] - full[num_vars : 2 * num_vars]
 
 

@@ -167,10 +167,13 @@ class MaskingResult:
     q_scaled: np.ndarray
     q_tilde: np.ndarray | None = None
     goal_report: tuple[GoalCheck, ...] | None = None
+    lp: LinearProgram | None = None
+    base_approx: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("q", "new_coeffs", "new_approx", "q_hat", "q_shifted", "q_scaled"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("q", "new_coeffs", "new_approx", "q_hat", "q_shifted", "q_scaled", "base_approx"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.q_tilde is not None:
             frozen = np.array(self.q_tilde, dtype=np.int64)
             frozen.setflags(write=False)
@@ -298,9 +301,10 @@ def round_half_away(values) -> np.ndarray:
 def round_and_repair(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:
     """Round to integers; optionally nudge elements by +-1 until the total matches.
 
-    Repair always moves the element whose rounding residual is largest in the
-    needed direction (ties break to the lowest index) and never pushes an
-    element below zero.
+    Each unit goes to the element whose residual is largest in the needed
+    direction (ties to the lowest index), as if placed one by one, never below
+    zero.  One largest-remainder pass places every unit ranked ahead of any
+    element's second unit; more passes follow only past that or at zeros.
     """
     scaled = np.asarray(q_scaled, dtype=np.float64)
     if scaled.min() < 0.0:
@@ -311,16 +315,20 @@ def round_and_repair(q_scaled, target_sum: int, sum_repair: bool = True) -> np.n
     target = int(target_sum)
     if target < 0:
         raise MaskingError(f"target sum {target} unreachable with non-negative entries")
-    while out.sum() != target:
-        residual = scaled - out
-        if out.sum() < target:
-            out[int(np.argmax(residual))] += 1
-        else:
-            candidates = np.where(out > 0)[0]
-            if candidates.size == 0:
-                raise MaskingError(f"target sum {target} unreachable without negative entries")
-            pick = candidates[int(np.argmin(residual[candidates]))]
-            out[pick] -= 1
+    while (gap := target - int(out.sum())) != 0:
+        step = 1 if gap > 0 else -1
+        movable = np.arange(out.size) if step > 0 else np.flatnonzero(out)
+        if movable.size == 0:
+            raise MaskingError(f"target sum {target} unreachable without negative entries")
+        # rank keys, smallest first: raising wants large residuals, lowering small ones
+        now = -step * (scaled[movable] - out[movable])
+        # each element's key after one more unit; one that would reach zero drops out
+        following = out[movable] + step
+        after = np.where(following > 0, -step * (scaled[movable] - following), np.inf)
+        j = int(np.argmin(after))
+        ahead = np.count_nonzero((now < after[j]) | ((now == after[j]) & (movable < movable[j])))
+        order = np.argsort(now, kind="stable")
+        out[movable[order[: max(1, min(abs(gap), ahead))]]] += step
     return out
 
 
@@ -363,4 +371,4 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     result = assemble_masked_signal(q, dec, new_coeffs, config, wrm=wrm)
     q_tilde = round_and_repair(result.q_scaled, int(round(q.sum())), config.sum_repair)
     report = evaluate_goals(result.new_approx, base_approx, config.goals)
-    return replace(result, q_tilde=q_tilde, goal_report=report)
+    return replace(result, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)

@@ -1,8 +1,9 @@
-"""Dense wavelet reconstruction matrix: approximation coefficients -> approximation.
+"""Wavelet reconstruction operator: approximation coefficients -> approximation.
 
-The matrix is materialized column by column from `reconstruct_component`, so it
-is consistent with the transform convention by construction.  Dense storage is
-deliberate: the signals here index areas or regions, so the operator stays small.
+The transform is periodized, so column j of the operator is column 0 rolled
+down by j * 2**level.  Only column 0, the impulse response, is kept: O(m) to
+build and store.  Rows are gathered from it, products run the synthesis
+pyramid, and the dense matrix is built only on request (the `wrm` dump).
 """
 
 from __future__ import annotations
@@ -19,45 +20,46 @@ from .wavelet import FilterPair, _frozen, reconstruct_component
 class ReconstructionMatrix:
     """m x (m / 2**level) operator mapping coefficient vectors to approximations."""
 
-    entries: np.ndarray
+    impulse: np.ndarray
     length: int
     level: int
     filters: FilterPair = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        object.__setattr__(self, "impulse", _frozen(self.impulse))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return self.length, self.length >> self.level
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        # entry (i, j) is impulse[(i - j * 2**level) mod m], rows 0-based
+        shifts = np.arange(self.shape[1]) << self.level
+        return self.impulse[(rows[..., None] - shifts) % self.length]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, built on each access: O(m^2 / 2**level) memory."""
+        return self._gather(np.arange(self.length))
 
     def apply(self, coeffs) -> np.ndarray:
-        """Matrix-vector product with a coefficient vector."""
-        c = np.asarray(coeffs, dtype=np.float64)
-        if c.shape != (self.shape[1],):
-            raise ShapeError(f"expected {self.shape[1]} coefficients, got {c.shape}")
-        return self.entries @ c
+        """Operator-vector product by the synthesis pyramid, which checks the shape."""
+        return reconstruct_component(coeffs, "approx", self.level, self.length, self.filters)
 
     def row(self, index: int) -> np.ndarray:
         """One row, 1-based to match signal positions."""
         if not 1 <= index <= self.length:
             raise ShapeError(f"row index {index} outside 1..{self.length}")
-        return self.entries[index - 1]
+        return self._gather(np.asarray(index - 1))
 
 
 def build_wrm(length: int, level: int, filters: FilterPair) -> ReconstructionMatrix:
-    """Materialize the reconstruction operator for the approximation band.
-
-    Column j is the reconstruction of the j-th unit coefficient vector.
-    """
+    """Build the approximation-band operator from its impulse response (column 0)."""
     if level < 1:
         raise ShapeError(f"level must be >= 1, got {level}")
     if length % (1 << level):
         raise ShapeError(f"length {length} is not divisible by 2**{level}")
-    width = length >> level
-    entries = np.zeros((length, width))
-    for j in range(width):
-        unit = np.zeros(width)
-        unit[j] = 1.0
-        entries[:, j] = reconstruct_component(unit, "approx", level, length, filters)
-    return ReconstructionMatrix(entries=entries, length=length, level=level, filters=filters)
+    unit = np.zeros(length >> level)
+    unit[0] = 1.0
+    impulse = reconstruct_component(unit, "approx", level, length, filters)
+    return ReconstructionMatrix(impulse=impulse, length=length, level=level, filters=filters)

@@ -10,7 +10,9 @@ import itertools
 
 import numpy as np
 
+from wavemask.errors import MaskingError
 from wavemask.lp import Constraint, LinearProgram, Objective, max_violation
+from wavemask.masking import round_half_away
 from wavemask.microdata import MicrofileTable
 
 
@@ -33,6 +35,30 @@ def decompose_dense(signal, lowpass, highpass, level: int):
         details.append(analysis_matrix(highpass, m) @ a)
         a = analysis_matrix(lowpass, m) @ a
     return a, details
+
+
+def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:
+    """Rounding repair one unit at a time, re-ranking residuals after each unit."""
+    scaled = np.asarray(q_scaled, dtype=np.float64)
+    if scaled.min() < 0.0:
+        raise MaskingError("cannot round a signal with negative entries")
+    out = round_half_away(scaled)
+    if not sum_repair:
+        return out
+    target = int(target_sum)
+    if target < 0:
+        raise MaskingError(f"target sum {target} unreachable with non-negative entries")
+    while out.sum() != target:
+        residual = scaled - out
+        if out.sum() < target:
+            out[int(np.argmax(residual))] += 1
+        else:
+            candidates = np.where(out > 0)[0]
+            if candidates.size == 0:
+                raise MaskingError(f"target sum {target} unreachable without negative entries")
+            pick = candidates[int(np.argmin(residual[candidates]))]
+            out[pick] -= 1
+    return out
 
 
 def random_lowpass(rng) -> np.ndarray:

@@ -94,6 +94,24 @@ def test_degenerate_instance_terminates():
     assert abs(sol.objective_value - 0.05) < 1e-9
 
 
+def test_exact_ratio_tie_leaves_lowest_basic_index():
+    # Phase 1 meets an exact ratio tie between two rows.  Bland's rule lets
+    # the row whose basic variable has the lower index leave, which ends at
+    # the vertex (4, 7); letting the other row leave ends at (2, 3).
+    lp = LinearProgram(
+        num_vars=2,
+        rows=(
+            Constraint([-1.0, 2.0], ">=", 4.0),
+            Constraint([-1.0, 1.0], "<=", 3.0),
+            Constraint([-2.0, -1.0], "<=", 3.0),
+            Constraint([2.0, -1.0], ">=", 1.0),
+        ),
+    )
+    sol = solve(lp)
+    assert sol.status == "feasible"
+    assert sol.x.tolist() == [4.0, 7.0]
+
+
 def test_feasible_solutions_satisfy_all_rows():
     rng = np.random.default_rng(11)
     statuses = {"feasible": 0, "infeasible": 0}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import round_and_repair_loop
 from refdata import (
     A2_HAT,
     C_RANGE,
@@ -187,6 +188,45 @@ def test_round_and_repair_errors():
         round_and_repair([0.4, 0.4], -1)
     with pytest.raises(MaskingError):
         round_and_repair([-0.5, 1.0], 1)
+
+
+def _repair_outcome(fn, scaled, target, sum_repair):
+    try:
+        return fn(scaled, target, sum_repair).tolist()
+    except MaskingError as exc:
+        return str(exc)
+
+
+def test_round_and_repair_matches_unit_loop():
+    # the largest-remainder passes must place every unit exactly where the
+    # one-unit-at-a-time loop does, errors included
+    rng = np.random.default_rng(2024)
+    for case in range(1500):
+        m = int(rng.integers(1, 40))
+        kind = case % 5
+        if kind == 0:
+            scaled = rng.uniform(0.0, 10.0, m)
+        elif kind == 1:  # half-integer ties
+            scaled = rng.integers(0, 20, m) + 0.5
+        elif kind == 2:  # many zero entries
+            scaled = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 3.0, m))
+        elif kind == 3:  # quarter steps: exact residual ties
+            scaled = rng.integers(0, 8, m) * 0.25
+        else:
+            scaled = rng.lognormal(1.0, 1.5, m)
+        if case % 50 == 7:
+            scaled[0] = -0.5
+        target = int(round(scaled.sum())) + int(rng.integers(-m, m + 1))
+        if case % 60 == 11:
+            target = -int(rng.integers(1, 5))
+        sum_repair = case % 10 != 3
+        expected = _repair_outcome(round_and_repair_loop, scaled, target, sum_repair)
+        assert _repair_outcome(round_and_repair, scaled, target, sum_repair) == expected, case
+    # Four units over two entries: the first entry's third unit ties, after
+    # float rounding, with the second entry's second unit and wins on index.
+    scaled = np.array([0.5 - 2.0**-53, 0.5])
+    for target in range(1, 8):
+        assert round_and_repair(scaled, target).tolist() == round_and_repair_loop(scaled, target).tolist()
 
 
 def test_mask_signal_worked_example_reproduction():

@@ -9,7 +9,11 @@ from wavemask.wavelet import make_filter, reconstruct_component
 from wavemask.wrm import build_wrm
 
 D4 = make_filter("daubechies", 2)
+DB3 = make_filter("daubechies", 3)
 HAAR = make_filter("haar", 1)
+
+SIZES = [(8, 1), (8, 3), (16, 2), (32, 3), (64, 1), (64, 5), (4096, 2)]
+FILTERS = pytest.mark.parametrize("filters", [HAAR, D4, DB3], ids=["haar", "d4", "db3"])
 
 
 def test_matches_displayed_matrix():
@@ -26,20 +30,24 @@ def test_haar_length4_level1():
     assert np.allclose(wrm.entries, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("length,level", [(8, 1), (8, 3), (16, 2), (32, 3)])
-@pytest.mark.parametrize("filters", [HAAR, D4], ids=["haar", "d4"])
+@pytest.mark.parametrize("length,level", SIZES)
+@FILTERS
 def test_columns_are_unit_reconstructions(length, level, filters):
+    # the operator is held as one impulse response; every column, row and
+    # product must still match the synthesis pyramid run per column
     wrm = build_wrm(length, level, filters)
-    width = length >> level
-    for j in range(width):
-        unit = np.zeros(width)
-        unit[j] = 1.0
-        column = reconstruct_component(unit, "approx", level, length, filters)
-        assert np.allclose(wrm.entries[:, j], column, atol=1e-12)
+    units = np.eye(length >> level)
+    columns = np.column_stack([reconstruct_component(u, "approx", level, length, filters) for u in units])
+    assert np.allclose(wrm.entries, columns, rtol=0, atol=1e-12)
+    coeffs = np.random.default_rng(length + level).normal(size=(3, units.shape[0]))
+    for c in coeffs:
+        assert np.allclose(wrm.apply(c), columns @ c, rtol=0, atol=1e-12)
+    rows = np.stack([wrm.row(i) for i in range(1, length + 1)])
+    assert np.allclose(rows, columns, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("length,level", [(8, 1), (8, 3), (16, 2), (32, 3)])
-@pytest.mark.parametrize("filters", [HAAR, D4], ids=["haar", "d4"])
+@pytest.mark.parametrize("length,level", SIZES)
+@FILTERS
 def test_column_sums_and_orthonormality(length, level, filters):
     wrm = build_wrm(length, level, filters)
     assert np.allclose(wrm.entries.sum(axis=0), 2.0 ** (level / 2.0), atol=1e-9)
