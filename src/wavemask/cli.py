@@ -93,7 +93,7 @@ def _load_goal_entries(source) -> list:
             entries = json.load(handle)
     except FileNotFoundError:
         raise ConfigurationError(f"goal file not found: {source}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{source}: invalid JSON ({exc})") from None
     if not isinstance(entries, list):
         raise DataError(f"{source}: expected a JSON list of goal entries")
@@ -435,19 +435,16 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, encoding="utf-8") as handle:
                     defaults = json.load(handle)
-            except FileNotFoundError:
-                raise ConfigurationError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"{args.config}: invalid JSON ({exc})") from None
             if not isinstance(defaults, dict):
                 raise ConfigurationError(f"{args.config}: expected a JSON object")
         given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
-        eff = {**defaults, **given}
-        handler = _HANDLERS[args.command]
-        try:
-            return handler(eff)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"input not found: {exc.filename or exc}") from None
+        return _HANDLERS[args.command]({**defaults, **given})
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        # a missing or unopenable path named on the command line or in the config
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigurationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,11 +6,18 @@ split by the values of one parameter attribute, yields the quantity signal
 the masking pipeline works on.  After masking, the file is rewritten by
 reassigning the parameter value of randomly chosen surplus records so the
 recount equals the masked signal exactly.
+
+Cost model: one csv pass loads the rows as the table's own tuples; the table
+checks run as C-level ``map``/``set`` passes, copying cells only when one is
+not a ``str``; eligibility is one dict lookup per record; a rewrite shares
+every unmoved row with its source and copies only the moved rows.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,14 +35,19 @@ class MicrofileTable:
     records: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(str(a) for a in self.attributes))
-        object.__setattr__(self, "records", tuple(tuple(str(c) for c in row) for row in self.records))
-        if len(set(self.attributes)) != len(self.attributes):
+        attributes, records = tuple(self.attributes), tuple(self.records)
+        cells = itertools.chain(attributes, itertools.chain.from_iterable(records))
+        if set(map(type, records)) - {tuple} or set(map(type, cells)) - {str}:
+            attributes = tuple(map(str, attributes))
+            records = tuple(tuple(map(str, row)) for row in records)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "records", records)
+        if len(set(attributes)) != len(attributes):
             raise DataError("attribute names must be unique")
-        width = len(self.attributes)
-        for number, row in enumerate(self.records, start=1):
-            if len(row) != width:
-                raise DataError(f"record {number} has {len(row)} cells, expected {width}")
+        width = len(attributes)
+        if not set(map(len, records)) <= {width}:
+            number, row = next((n, row) for n, row in enumerate(records, start=1) if len(row) != width)
+            raise DataError(f"record {number} has {len(row)} cells, expected {width}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -109,21 +121,23 @@ class ModificationPlan:
 
 def load_csv(source, delimiter: str = ",", has_header: bool = True) -> MicrofileTable:
     """Read a delimited text file into a table, cells kept verbatim."""
-    with open(source, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle, delimiter=delimiter))
+    try:
+        with open(source, encoding="utf-8", newline="") as handle:
+            rows = tuple(map(tuple, csv.reader(handle, delimiter=delimiter)))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataError(f"{source}: empty file")
     if has_header:
-        attributes = tuple(rows[0])
-        records = rows[1:]
+        attributes, records = rows[0], rows[1:]
     else:
         attributes = tuple(f"col_{i}" for i in range(1, len(rows[0]) + 1))
         records = rows
-    width = len(attributes)
-    for number, row in enumerate(records, start=2 if has_header else 1):
-        if len(row) != width:
-            raise DataError(f"{source}: row {number} has {len(row)} cells, expected {width}")
-    return MicrofileTable(attributes=attributes, records=tuple(tuple(r) for r in records))
+    width, first_line = len(attributes), 2 if has_header else 1
+    if not set(map(len, records)) <= {width}:
+        number, row = next((n, row) for n, row in enumerate(records, start=first_line) if len(row) != width)
+        raise DataError(f"{source}: row {number} has {len(row)} cells, expected {width}")
+    return MicrofileTable(attributes=attributes, records=records)
 
 
 def write_csv(table: MicrofileTable, sink, delimiter: str = ",") -> None:
@@ -134,12 +148,16 @@ def write_csv(table: MicrofileTable, sink, delimiter: str = ",") -> None:
         writer.writerows(table.records)
 
 
-def _vital_mask(table: MicrofileTable, spec: SelectionSpec) -> list[bool]:
-    columns = [table.column_index(a) for a in spec.vital_attributes]
-    return [
-        all(row[c] == v for c, v in zip(columns, spec.vital_combination))
-        for row in table.records
-    ]
+def _eligible_rows(table: MicrofileTable, spec: SelectionSpec) -> list[list[int]]:
+    """Indices of the vital-matching records, one list per listed parameter value."""
+    param_col = table.column_index(spec.parameter_attribute)
+    key = operator.itemgetter(*(table.column_index(a) for a in spec.vital_attributes), param_col)
+    slot_of = {(*spec.vital_combination, value): i for i, value in enumerate(spec.parameter_values)}
+    rows: list[list[int]] = [[] for _ in spec.parameter_values]
+    for index, slot in enumerate(map(slot_of.get, map(key, table.records))):
+        if slot is not None:
+            rows[slot].append(index)
+    return rows
 
 
 def extract_quantity_signal(table: MicrofileTable, spec: SelectionSpec) -> np.ndarray:
@@ -147,15 +165,7 @@ def extract_quantity_signal(table: MicrofileTable, spec: SelectionSpec) -> np.nd
 
     Records whose parameter value is not listed are ignored.
     """
-    param_col = table.column_index(spec.parameter_attribute)
-    position = {value: i for i, value in enumerate(spec.parameter_values)}
-    counts = np.zeros(len(spec.parameter_values), dtype=np.int64)
-    for row, eligible in zip(table.records, _vital_mask(table, spec)):
-        if eligible:
-            slot = position.get(row[param_col])
-            if slot is not None:
-                counts[slot] += 1
-    return counts
+    return np.array([len(rows) for rows in _eligible_rows(table, spec)], dtype=np.int64)
 
 
 def plan_resynthesis(
@@ -182,14 +192,7 @@ def plan_resynthesis(
     if q.sum() != q_tilde.sum():
         raise MaskingError(f"count totals differ: {q.sum()} vs {q_tilde.sum()}; no rewrite can reconcile them")
 
-    param_col = table.column_index(spec.parameter_attribute)
-    position = {value: i for i, value in enumerate(spec.parameter_values)}
-    eligible: list[list[int]] = [[] for _ in range(m)]
-    for index, (row, ok) in enumerate(zip(table.records, _vital_mask(table, spec))):
-        if ok:
-            slot = position.get(row[param_col])
-            if slot is not None:
-                eligible[slot].append(index)
+    eligible = _eligible_rows(table, spec)
     actual = np.array([len(rows) for rows in eligible], dtype=np.int64)
     if not np.array_equal(actual, q):
         raise DataError(f"supplied counts {q.tolist()} do not match the table recount {actual.tolist()}")
@@ -206,8 +209,10 @@ def plan_resynthesis(
         donor = max(surplus, key=lambda i: (surplus[i], -i))
         taker = max(deficit, key=lambda i: (deficit[i], -i))
         batch = min(surplus[donor], deficit[taker])
-        for _ in range(batch):
-            moves.append(Move(pools[donor].pop(0), spec.parameter_values[donor], spec.parameter_values[taker]))
+        # a donor's pool is consumed front to back; what it still owes is its tail
+        start = len(pools[donor]) - surplus[donor]
+        old, new = spec.parameter_values[donor], spec.parameter_values[taker]
+        moves.extend(Move(record, old, new) for record in pools[donor][start:start + batch])
         surplus[donor] -= batch
         deficit[taker] -= batch
         if surplus[donor] == 0:
@@ -220,14 +225,15 @@ def plan_resynthesis(
 def apply_plan(table: MicrofileTable, plan: ModificationPlan) -> MicrofileTable:
     """Rewrite the planned parameter cells; everything else is untouched."""
     param_col = table.column_index(plan.parameter_attribute)
-    rows = [list(row) for row in table.records]
+    records = list(table.records)
     for move in plan.moves:
-        if not 0 <= move.record < len(rows):
-            raise DataError(f"plan names record {move.record}, table has {len(rows)}")
-        if rows[move.record][param_col] != move.old_value:
+        if not 0 <= move.record < len(records):
+            raise DataError(f"plan names record {move.record}, table has {len(records)}")
+        row = records[move.record]
+        if row[param_col] != move.old_value:
             raise DataError(
-                f"record {move.record} holds {rows[move.record][param_col]!r}, "
+                f"record {move.record} holds {row[param_col]!r}, "
                 f"plan expected {move.old_value!r}; the plan is stale"
             )
-        rows[move.record][param_col] = move.new_value
-    return MicrofileTable(attributes=table.attributes, records=tuple(tuple(r) for r in rows))
+        records[move.record] = (*row[:param_col], move.new_value, *row[param_col + 1:])
+    return MicrofileTable(attributes=table.attributes, records=tuple(records))

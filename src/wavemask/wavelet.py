@@ -240,15 +240,18 @@ def reconstruct_signal(dec: Decomposition) -> np.ndarray:
 def read_signal(path) -> np.ndarray:
     """Read a signal file: one decimal number per line, '#' lines ignored."""
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: not a number: {text!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno}: not a number: {text!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if len(values) < 2:
         raise DataError(f"{path}: signal file needs at least 2 values, got {len(values)}")
     return as_signal(values)

@@ -7,13 +7,14 @@ time, independent of the vectorized code under test.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
 from wavemask.errors import MaskingError
 from wavemask.lp import Constraint, LinearProgram, Objective, max_violation
 from wavemask.masking import round_half_away
-from wavemask.microdata import MicrofileTable
+from wavemask.microdata import MicrofileTable, Move
 
 
 def analysis_matrix(filt, m: int) -> np.ndarray:
@@ -131,3 +132,40 @@ def random_table(rng, areas, max_records: int = 200) -> MicrofileTable:
         code = f"{int(rng.integers(0, 100000)):05d}"
         rows.append((mil, area, code))
     return MicrofileTable(attributes=("mil", "area", "code"), records=tuple(rows))
+
+
+def plan_moves_pop0(table: MicrofileTable, spec, q, q_tilde, seed: int) -> tuple:
+    """Moves for a valid rewrite request, by a per-row eligibility scan and pop(0) pools."""
+    q = np.asarray(q, dtype=np.int64)
+    q_tilde = np.asarray(q_tilde, dtype=np.int64)
+    m = len(spec.parameter_values)
+    param_col = table.column_index(spec.parameter_attribute)
+    vital_cols = [table.column_index(a) for a in spec.vital_attributes]
+    eligible = [[] for _ in range(m)]
+    for index, row in enumerate(table.records):
+        if all(row[c] == v for c, v in zip(vital_cols, spec.vital_combination)):
+            if row[param_col] in spec.parameter_values:
+                eligible[spec.parameter_values.index(row[param_col])].append(index)
+    assert [len(rows) for rows in eligible] == q.tolist()
+
+    rng = random.Random(seed)
+    surplus = {i: int(q[i] - q_tilde[i]) for i in range(m) if q[i] > q_tilde[i]}
+    deficit = {i: int(q_tilde[i] - q[i]) for i in range(m) if q_tilde[i] > q[i]}
+    pools: dict[int, list[int]] = {}
+    for area in sorted(surplus):
+        pools[area] = rng.sample(eligible[area], surplus[area])
+
+    moves: list[Move] = []
+    while deficit:
+        donor = max(surplus, key=lambda i: (surplus[i], -i))
+        taker = max(deficit, key=lambda i: (deficit[i], -i))
+        batch = min(surplus[donor], deficit[taker])
+        for _ in range(batch):
+            moves.append(Move(pools[donor].pop(0), spec.parameter_values[donor], spec.parameter_values[taker]))
+        surplus[donor] -= batch
+        deficit[taker] -= batch
+        if surplus[donor] == 0:
+            del surplus[donor]
+        if deficit[taker] == 0:
+            del deficit[taker]
+    return tuple(moves)

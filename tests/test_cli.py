@@ -245,3 +245,60 @@ def test_verify_microfile_mode(tmp_path, capsys):
             "--parameter-values", "A,B,C,D", "--wavelet", "haar", "--level", "1"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("pass") == 2
+
+
+def microfile_inputs(tmp_path):
+    """The end-to-end test's people file and goal, which mask without error."""
+    records = [("1", "A")] * 6 + [("1", "B"), ("1", "C"), ("0", "A"), ("0", "D")]
+    source = tmp_path / "people.csv"
+    write_csv(MicrofileTable(attributes=("mil", "area"), records=tuple(records)), source)
+    goals = tmp_path / "micro-goals.json"
+    goals.write_text(json.dumps([{"index": 1, "goal": "lower"}]))
+    return source, goals
+
+
+def microfile_argv(source, out, goals):
+    return ["mask-microfile", "--input", str(source), "--output", str(out),
+            "--vital", "mil=1", "--parameter-attribute", "area",
+            "--parameter-values", "A,B,C,D", "--goals", str(goals),
+            "--wavelet", "haar", "--level", "1", "--seed", "3"]
+
+
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    _, goals = write_inputs(tmp_path)
+    signal = tmp_path / "latin1.txt"
+    signal.write_bytes(b"# \xe9t\xe9\n5\n7\n")
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals),
+                 "--output", str(tmp_path / "o.txt")]) == 3
+    assert f"{signal}: not UTF-8" in capsys.readouterr().err
+    _, micro_goals = microfile_inputs(tmp_path)
+    source = tmp_path / "latin1.csv"
+    source.write_bytes("mil,area\n1,São\n1,B\n".encode("latin-1"))
+    assert main(microfile_argv(source, tmp_path / "o.csv", micro_goals)) == 3
+    assert f"{source}: not UTF-8" in capsys.readouterr().err
+
+
+def test_directory_as_input_or_output_is_a_usage_error(tmp_path, capsys):
+    signal, goals = write_inputs(tmp_path)
+    assert main(["mask-signal", "--input", str(tmp_path), "--goals", str(goals),
+                 "--output", str(tmp_path / "o.txt")]) == 1
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals),
+                 "--output", str(tmp_path)]) == 1
+    source, micro_goals = microfile_inputs(tmp_path)
+    assert main(microfile_argv(tmp_path, tmp_path / "o.csv", micro_goals)) == 1
+    assert main(microfile_argv(source, tmp_path, micro_goals)) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"cannot open {tmp_path}: Is a directory") == 4
+
+
+def test_missing_output_directory_names_the_output(tmp_path, capsys):
+    signal, goals = write_inputs(tmp_path)
+    out = tmp_path / "no-such-dir" / "masked.txt"
+    assert main(repro_argv(signal, goals, out)) == 1
+    source, micro_goals = microfile_inputs(tmp_path)
+    out_csv = tmp_path / "no-such-dir" / "rewritten.csv"
+    assert main(microfile_argv(source, out_csv, micro_goals)) == 1
+    err = capsys.readouterr().err
+    assert f"cannot open {out}: No such file or directory" in err
+    assert f"cannot open {out_csv}: No such file or directory" in err
+    assert "input" not in err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_table
+from oracles import plan_moves_pop0, random_table
 from wavemask.errors import ConfigurationError, DataError, MaskingError
 from wavemask.microdata import (
     MicrofileTable,
@@ -39,6 +39,25 @@ def test_table_validation():
         MicrofileTable(attributes=("a", "a"), records=())
     with pytest.raises(ConfigurationError):
         small_table().column_index("age")
+
+
+def test_table_coerces_non_str_cells():
+    table = MicrofileTable(("a", "b"), ((1, 2.5),))
+    assert table.records == (("1", "2.5"),)
+    assert all(type(cell) is str for cell in table.records[0])
+    listed = MicrofileTable(["a", "b"], [["1", "2"], ("3", "4")])
+    assert listed.attributes == ("a", "b")
+    assert listed.records == (("1", "2"), ("3", "4"))
+    assert all(type(row) is tuple for row in listed.records)
+
+
+def test_table_ragged_record_named():
+    with pytest.raises(DataError, match="record 2 has 1 cells, expected 2"):
+        MicrofileTable(("a", "b"), (("1", "2"), ("3",), ("5", "6")))
+    with pytest.raises(DataError, match="record 3 has 3 cells, expected 2"):
+        MicrofileTable(("a", "b"), (("1", "2"), ("3", "4"), ("5", "6", "7")))
+    with pytest.raises(DataError, match="record 1 has 0 cells, expected 2"):
+        MicrofileTable(("a", "b"), ((),))
 
 
 def test_selection_validation():
@@ -80,6 +99,40 @@ def test_load_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError, match="empty"):
         load_csv(empty)
+
+
+def test_load_csv_ragged_last_row(tmp_path):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("A,B\n1,x\n2,y\n3,z,extra\n")
+    with pytest.raises(DataError, match="row 4 has 3 cells, expected 2"):
+        load_csv(ragged)
+    with pytest.raises(DataError, match="row 4 has 3 cells, expected 2"):
+        load_csv(ragged, has_header=False)
+
+
+def test_load_csv_header_only(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("mil,area\n")
+    for table in (load_csv(path), load_csv(path, has_header=True)):
+        assert table.attributes == ("mil", "area")
+        assert table.records == ()
+        assert extract_quantity_signal(table, MIL_AREAS).tolist() == [0, 0]
+    # without a header row the one line is a record
+    assert load_csv(path, has_header=False).records == (("mil", "area"),)
+
+
+def test_load_csv_duplicate_header(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(DataError, match="unique"):
+        load_csv(path)
+
+
+def test_load_csv_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("area\nS\u00e3o Paulo\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+        load_csv(path)
 
 
 def test_write_csv_quotes_delimiter_cells(tmp_path):
@@ -179,6 +232,44 @@ def test_plan_same_seed_same_plan():
     assert first == second
 
 
+def test_plan_matches_pop0_reference():
+    """Same moves as the per-row scan and pop(0) pools, over seeded random requests."""
+    rng = np.random.default_rng(2024)
+    codes = ("00100", "00200", "00300", "06010", "06020", "06030")
+    split_donors = fixed_points = 0
+    for case in range(240):
+        areas = codes[: int(rng.integers(2, len(codes) + 1))]
+        table = random_table(rng, areas=areas, max_records=150)
+        listed = tuple(rng.permutation(areas).tolist())
+        if len(listed) > 2 and case % 5 == 0:
+            listed = listed[1:]  # records of the dropped area are not counted
+        spec = SelectionSpec(("mil",), (str(case % 3),), "area", listed)
+        q = extract_quantity_signal(table, spec)
+        total = int(q.sum())
+        if case % 4 == 0 or total == 0:
+            q_tilde = q.copy()
+        elif case % 4 == 1:
+            # empty the largest area into every other one
+            q_tilde = q.copy()
+            donor = int(np.argmax(q))
+            q_tilde[donor] = 0
+            takers = [i for i in range(len(q)) if i != donor]
+            q_tilde[takers] += np.asarray(rng.multinomial(int(q[donor]), [1 / len(takers)] * len(takers)))
+        else:
+            q_tilde = np.asarray(rng.multinomial(total, [1 / len(q)] * len(q)), dtype=np.int64)
+        seed = int(rng.integers(0, 2**31))
+
+        plan = plan_resynthesis(table, spec, q, q_tilde, seed=seed)
+        assert plan.moves == plan_moves_pop0(table, spec, q, q_tilde, seed)
+        fixed_points += plan.moves == ()
+        donors = {}
+        for move in plan.moves:
+            donors.setdefault(move.old_value, set()).add(move.new_value)
+        split_donors += any(len(takers) > 1 for takers in donors.values())
+    assert fixed_points >= 60
+    assert split_donors >= 60
+
+
 def test_apply_plan_single_move_recounts():
     table = small_table()
     plan = plan_resynthesis(table, MIL_AREAS, [2, 1], [1, 2], seed=4)
@@ -186,6 +277,14 @@ def test_apply_plan_single_move_recounts():
     assert extract_quantity_signal(new, MIL_AREAS).tolist() == [1, 2]
     changed = sum(a != b for a, b in zip(table.records, new.records))
     assert changed == 1
+
+
+def test_apply_plan_copies_only_moved_rows():
+    table = small_table()
+    plan = ModificationPlan("area", (Move(1, "A", "B"),), seed=0)
+    new = apply_plan(table, plan)
+    assert new.records[1] == ("1", "B")
+    assert all(new.records[i] is table.records[i] for i in (0, 2, 3))
 
 
 def test_apply_empty_plan_is_identity():
