@@ -48,14 +48,22 @@ def _vec(values) -> list[float]:
     return [_sig12(v) for v in np.asarray(values, dtype=np.float64)]
 
 
+def _number(value, cast, flag: str):
+    """An option read by int or float; a value that does not convert exactly is a usage error."""
+    try:
+        number = cast(value)
+        if isinstance(value, bool) or number != float(value):  # e.g. a level of 1.9 or true
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{flag} expects {cast.__name__}, got {value!r}") from None
+    return number
+
+
 def _parse_wavelet(text: str) -> tuple[str, int]:
-    name = text.strip()
+    name = str(text).strip()
     if ":" in name:
         family, _, tail = name.partition(":")
-        try:
-            return family, int(tail)
-        except ValueError:
-            raise ConfigurationError(f"bad wavelet order in {text!r}") from None
+        return family, _number(tail, int, "--wavelet order")
     if name.lower() == "haar":
         return "haar", 1
     raise ConfigurationError(f"wavelet must look like daubechies:2, got {text!r}")
@@ -65,23 +73,16 @@ def _parse_offset(value) -> float | None:
     """None means automatic; otherwise a fixed non-negative shift."""
     if value is None or (isinstance(value, str) and value.strip().lower() == "auto"):
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"offset must be 'auto' or a number, got {value!r}") from None
+    return _number(value, float, "--offset")
 
 
 def _parse_override(value) -> tuple[float, ...] | None:
     if value is None:
         return None
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    try:
-        return tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"override coefficients must be numbers, got {value!r}") from None
+    parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+    if not isinstance(parts, list):
+        raise ConfigurationError(f"--override-coeffs expects a list of numbers, got {value!r}")
+    return tuple(_number(p, float, "--override-coeffs") for p in parts)
 
 
 def _load_goal_entries(source) -> list:
@@ -120,7 +121,8 @@ def _delimiter(eff: dict) -> str:
     return value
 
 
-def _masking_config(eff: dict, goals: GoalSpec) -> MaskingConfig:
+def _masking_config(eff: dict) -> MaskingConfig:
+    goals = GoalSpec.from_entries(_load_goal_entries(_require(eff, "goals", "--goals")))
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     offset = _parse_offset(eff.get("offset"))
     repair = not bool(eff.get("no_repair"))
@@ -133,43 +135,22 @@ def _masking_config(eff: dict, goals: GoalSpec) -> MaskingConfig:
         goals=goals,
         family=family,
         order=order,
-        level=int(_get(eff, "level", 2)),
+        level=_number(_get(eff, "level", 2), int, "--level"),
         fixed_offset=offset,
         override_coeffs=_parse_override(eff.get("override_coeffs")),
         sum_repair=repair,
-        rng_seed=int(_get(eff, "seed", 0)),
+        rng_seed=_number(_get(eff, "seed", 0), int, "--seed"),
     )
 
 
-def _goal_echo(entries: list) -> list:
-    echo = []
-    for entry in entries:
-        item = {"index": int(entry["index"]), "goal": str(entry["goal"]).lower()}
-        if entry.get("min") is not None:
-            item["min"] = _sig12(entry["min"])
-        if entry.get("max") is not None:
-            item["max"] = _sig12(entry["max"])
-        echo.append(item)
-    return echo
+def _with_limits(item: dict, **limits) -> dict:
+    """The item plus each limit that is set, at 12 significant digits."""
+    item.update((key, _sig12(value)) for key, value in limits.items() if value is not None)
+    return item
 
 
-def _report_payload(result: MaskingResult, config: MaskingConfig, goal_entries: list) -> dict:
+def _report_payload(result: MaskingResult, config: MaskingConfig) -> dict:
     dec = result.decomposition
-    checks = []
-    for check in result.goal_report or ():
-        item = {
-            "index": check.index,
-            "goal": check.kind,
-            "achieved": _sig12(check.achieved),
-            "satisfied": bool(check.satisfied),
-        }
-        if check.threshold is not None:
-            item["threshold"] = _sig12(check.threshold)
-        if check.lower is not None:
-            item["min"] = _sig12(check.lower)
-        if check.upper is not None:
-            item["max"] = _sig12(check.upper)
-        checks.append(item)
     original = float(result.q.sum())
     scaled = float(result.q_scaled.sum())
     rounded = int(result.q_tilde.sum()) if result.q_tilde is not None else None
@@ -186,7 +167,10 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, goal_entries: 
         "a_k": _vec(dec.approx),
         "details": [_vec(band) for band in dec.details],
         "A_k": _vec(result.base_approx),
-        "goals": _goal_echo(goal_entries),
+        "goals": [
+            _with_limits({"index": index, "goal": goal.kind}, min=goal.lower, max=goal.upper)
+            for index, goal in config.goals.by_index.items()
+        ],
         "lp_rows": [
             {"coeffs": _vec(row.coeffs), "relation": row.relation, "rhs": _sig12(row.rhs)}
             for row in result.lp.rows
@@ -199,7 +183,13 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, goal_entries: 
         "c": _sig12(result.scale),
         "q_scaled": _vec(result.q_scaled),
         "q_tilde": None if result.q_tilde is None else [int(v) for v in result.q_tilde],
-        "goal_satisfaction": checks,
+        "goal_satisfaction": [
+            _with_limits(
+                {"index": c.index, "goal": c.kind, "achieved": _sig12(c.achieved), "satisfied": bool(c.satisfied)},
+                threshold=c.threshold, min=c.lower, max=c.upper,
+            )
+            for c in result.goal_report or ()
+        ],
         "sum_check": {
             "original_total": _sig12(original),
             "scaled_total": _sig12(scaled),
@@ -244,14 +234,13 @@ def _selection(eff: dict) -> SelectionSpec:
 
 def _cmd_mask_signal(eff: dict) -> int:
     q = read_signal(_require(eff, "input", "--input"))
-    entries = _load_goal_entries(_require(eff, "goals", "--goals"))
-    config = _masking_config(eff, GoalSpec.from_entries(entries))
+    config = _masking_config(eff)
     result = mask_signal(q, config)
     write_signal(_require(eff, "output", "--output"), result.q_tilde)
     if eff.get("scaled_output"):
         write_signal(eff["scaled_output"], result.q_scaled)
     if eff.get("report"):
-        payload = _report_payload(result, config, entries)
+        payload = _report_payload(result, config)
         payload["command"] = "mask-signal"
         _write_report(eff["report"], payload)
     return EXIT_OK
@@ -262,8 +251,7 @@ def _cmd_mask_microfile(eff: dict) -> int:
     table = load_csv(_require(eff, "input", "--input"), delimiter=delimiter)
     spec = _selection(eff)
     q = extract_quantity_signal(table, spec)
-    entries = _load_goal_entries(_require(eff, "goals", "--goals"))
-    config = _masking_config(eff, GoalSpec.from_entries(entries))
+    config = _masking_config(eff)
     if not config.sum_repair:
         raise ConfigurationError("mask-microfile needs sum repair on: record totals must match exactly")
     result = mask_signal(q, config)
@@ -271,7 +259,7 @@ def _cmd_mask_microfile(eff: dict) -> int:
     masked = apply_plan(table, plan)
     write_csv(masked, _require(eff, "output", "--output"), delimiter=delimiter)
     if eff.get("report"):
-        payload = _report_payload(result, config, entries)
+        payload = _report_payload(result, config)
         payload["command"] = "mask-microfile"
         payload["microfile"] = {
             "records": len(table),
@@ -286,8 +274,8 @@ def _cmd_mask_microfile(eff: dict) -> int:
 
 
 def _cmd_wrm(eff: dict) -> int:
-    length = int(_require(eff, "length", "--length"))
-    level = int(_get(eff, "level", 2))
+    length = _number(_require(eff, "length", "--length"), int, "--length")
+    level = _number(_get(eff, "level", 2), int, "--level")
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     matrix = build_wrm(length, level, make_filter(family, order))
     lines = [",".join(repr(float(v)) for v in row) for row in matrix.entries]
@@ -315,8 +303,8 @@ def _proportionality(d_orig: np.ndarray, d_masked: np.ndarray) -> tuple[float, f
 def _cmd_verify(eff: dict) -> int:
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     filters = make_filter(family, order)
-    level = int(_get(eff, "level", 2))
-    tol = float(_get(eff, "tol", 1e-6))
+    level = _number(_get(eff, "level", 2), int, "--level")
+    tol = _number(_get(eff, "tol", 1e-6), float, "--tol")
 
     original_path = _require(eff, "original", "--original")
     masked_path = _require(eff, "masked", "--masked")

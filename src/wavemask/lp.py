@@ -1,11 +1,12 @@
 """Dense two-phase primal simplex for the goal systems built here.
 
 A system has a free variable per approximation coefficient and a row per
-goal: hundreds of each, e.g. 512 variables by 256 rows.  Steps are vectorized
-over the tableau, yet robustness and determinism come first: Bland's rule for
-anti-cycling, free variables split into positive parts, explicit tableau
-arithmetic in float64.  Infeasibility and unboundedness are reported as
-statuses, never raised.
+goal: hundreds of each, e.g. 512 variables by 256 rows.  The tableau spans
+only the columns that some row (or, when optimizing, the objective) touches;
+the others come back as 0.  Steps are vectorized over the tableau, yet
+robustness and determinism come first: Bland's rule for anti-cycling, free
+variables split into positive parts, explicit tableau arithmetic in float64.
+Infeasibility and unboundedness are reported as statuses, never raised.
 """
 
 from __future__ import annotations
@@ -171,34 +172,25 @@ class _Tableau:
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
 
 
-def _build_phase1(rows: list[Constraint], num_vars: int):
-    """Standard-form tableau with split variables, slacks and artificials."""
-    nr = len(rows)
-    split = 2 * num_vars
-    n_slack = sum(1 for r in rows if r.relation != "=")
-    n_art = nr
-    ncols = split + n_slack + n_art
-    t = np.zeros((nr + 1, ncols + 1))
-    basis: list[int] = []
-    slack_at = split
-    art_at = split + n_slack
+def _build_phase1(rows: list[Constraint], columns: np.ndarray):
+    """Standard-form tableau over the given columns: split parts, slacks, artificials."""
+    nr, width = len(rows), columns.size
+    split = 2 * width
+    rhs = np.array([row.rhs for row in rows])
+    flip = rhs < 0.0  # such a row is negated, and its relation reverses
+    relation = np.array([row.relation for row in rows], dtype=object)
+    slack_rows = np.flatnonzero(relation != "=")
+    art_at = split + slack_rows.size
+    t = np.zeros((nr + 1, art_at + nr + 1))
+    sign = np.where(flip, -1.0, 1.0)
     for i, row in enumerate(rows):
-        coeffs, rel, rhs = row.coeffs.copy(), row.relation, row.rhs
-        if rhs < 0.0:
-            coeffs, rhs = -coeffs, -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        t[i, :num_vars] = coeffs
-        t[i, num_vars:split] = -coeffs
-        if rel == "<=":
-            t[i, slack_at] = 1.0
-            slack_at += 1
-        elif rel == ">=":
-            t[i, slack_at] = -1.0
-            slack_at += 1
-        t[i, art_at + i] = 1.0
-        t[i, -1] = rhs
-        basis.append(art_at + i)
-    return _Tableau(t, basis), split, art_at
+        np.multiply(row.coeffs[columns], sign[i], out=t[i, :width])
+    np.negative(t[:nr, :width], out=t[:nr, width:split])
+    at_most = (relation == "<=") != flip
+    t[slack_rows, split + np.arange(slack_rows.size)] = np.where(at_most[slack_rows], 1.0, -1.0)
+    t[np.arange(nr), art_at + np.arange(nr)] = 1.0
+    t[:nr, -1] = np.where(flip, -rhs, rhs)
+    return _Tableau(t, list(range(art_at, art_at + nr))), split, art_at
 
 
 def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
@@ -238,7 +230,14 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
         raise ConfigurationError("optimize mode requires an objective")
 
     rows = lp.all_rows()
-    tab, split, art_at = _build_phase1(rows, lp.num_vars)
+    # A column zero in every row and in the cost keeps a reduced cost of
+    # exactly 0, so Bland's rule never picks it; pivots act element by element,
+    # so dropping it changes no other entry, and it comes back as 0.
+    touched = (lp.objective.coeffs != 0.0) if mode == "optimize" else np.zeros(lp.num_vars, dtype=bool)
+    for row in rows:
+        touched |= row.coeffs != 0.0
+    columns = np.flatnonzero(touched)
+    tab, split, art_at = _build_phase1(rows, columns)
 
     phase1_cost = np.zeros(tab.ncols)
     phase1_cost[art_at:] = -1.0
@@ -248,17 +247,17 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
         return LpSolution(status="infeasible")
     tab = _drop_artificials(tab, art_at)
 
+    x = np.zeros(lp.num_vars)
     if mode == "feasibility":
-        return LpSolution(status="feasible", x=_extract(tab, lp.num_vars))
+        x[columns] = _extract(tab, columns.size)
+        return LpSolution(status="feasible", x=x)
 
-    sense = lp.objective.sense
+    gain = (1.0 if lp.objective.sense == "maximize" else -1.0) * lp.objective.coeffs[columns]
     costs = np.zeros(tab.ncols)
-    sign = 1.0 if sense == "maximize" else -1.0
-    costs[: lp.num_vars] = sign * lp.objective.coeffs
-    costs[lp.num_vars : split] = -sign * lp.objective.coeffs
+    costs[:split] = np.concatenate((gain, -gain))
     tab.set_objective(costs)
     status = tab.run()
     if status == "unbounded":
         return LpSolution(status="unbounded")
-    x = _extract(tab, lp.num_vars)
+    x[columns] = _extract(tab, columns.size)
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))

@@ -14,6 +14,8 @@ scale factor: the redistribution only ever touches the approximation.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +33,23 @@ OVERRIDE_SLACK = 1.0
 GOAL_KINDS = ("raise", "lower", "free", "bound")
 
 
+def _finite(value) -> float | None:
+    """A goal threshold or limit as a finite float; None stays None, anything else is rejected."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"goal threshold, min and max must be finite numbers, got {value!r}")
+    return float(value)
+
+
+def _position(index) -> int:
+    """A 1-based signal position; booleans and non-integral numbers are rejected."""
+    # index % 1 is 0 for a whole number, and non-zero or nan otherwise
+    if isinstance(index, bool) or not isinstance(index, (numbers.Integral, float)) or index < 1 or index % 1:
+        raise ConfigurationError(f"goal index must be a positive integer, got {index!r}")
+    return int(index)
+
+
 @dataclass(frozen=True)
 class Goal:
     """Target for one signal position.
@@ -45,6 +64,8 @@ class Goal:
     upper: float | None = None
 
     def __post_init__(self):
+        for name in ("threshold", "lower", "upper"):
+            object.__setattr__(self, name, _finite(getattr(self, name)))
         if self.kind not in GOAL_KINDS:
             raise ConfigurationError(f"unknown goal kind {self.kind!r}")
         if self.kind == "bound" and self.lower is None and self.upper is None:
@@ -62,12 +83,7 @@ class GoalSpec:
     by_index: dict[int, Goal]
 
     def __post_init__(self):
-        clean = {}
-        for index, goal in self.by_index.items():
-            if int(index) != index or index < 1:
-                raise ConfigurationError(f"goal index must be a positive integer, got {index!r}")
-            clean[int(index)] = goal
-        object.__setattr__(self, "by_index", clean)
+        object.__setattr__(self, "by_index", {_position(i): goal for i, goal in self.by_index.items()})
 
     @classmethod
     def from_entries(cls, entries) -> "GoalSpec":
@@ -75,9 +91,9 @@ class GoalSpec:
         by_index: dict[int, Goal] = {}
         for pos, entry in enumerate(entries):
             try:
-                index = int(entry["index"])
+                index = _position(entry["index"])
                 kind = str(entry["goal"]).lower()
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ConfigurationError(f"goal entry {pos}: needs integer 'index' and string 'goal'") from exc
             if index in by_index:
                 raise ConfigurationError(f"goal entry {pos}: duplicate index {index}")
@@ -180,12 +196,24 @@ class MaskingResult:
             object.__setattr__(self, "q_tilde", frozen)
 
 
+def _goal_limits(goal: Goal, current: float) -> list[tuple[str, float]]:
+    """The (relation, rhs) rows one goal puts on the approximation at its position.
+
+    raise gives one ">=" row and lower one "<=" row, at ``threshold`` or else
+    ``current``; bound gives one row per limit it has.
+    """
+    if goal.kind == "bound":
+        limits = ((">=", goal.lower), ("<=", goal.upper))
+        return [(relation, limit) for relation, limit in limits if limit is not None]
+    return [(">=" if goal.kind == "raise" else "<=", current if goal.threshold is None else goal.threshold)]
+
+
 def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> LinearProgram:
     """Turn per-position goals into rows over the replacement coefficients.
 
-    raise: (wrm row i) . x >= threshold, lower: <=, bound: one row per given
-    limit.  Thresholds default to the current approximation value at i.
-    Rows are emitted in ascending position order.
+    Goal i gives the rows of ``_goal_limits`` over wrm row i, with thresholds
+    defaulting to the current approximation value at i.  Rows are emitted in
+    ascending position order.
     """
     a_k = np.asarray(approx, dtype=np.float64)
     if a_k.size != wrm.length:
@@ -198,17 +226,7 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
     rows = []
     for index, goal in active.items():
         coeffs = wrm.row(index)
-        if goal.kind == "raise":
-            threshold = a_k[index - 1] if goal.threshold is None else goal.threshold
-            rows.append(Constraint(coeffs, ">=", threshold))
-        elif goal.kind == "lower":
-            threshold = a_k[index - 1] if goal.threshold is None else goal.threshold
-            rows.append(Constraint(coeffs, "<=", threshold))
-        else:  # bound
-            if goal.lower is not None:
-                rows.append(Constraint(coeffs, ">=", goal.lower))
-            if goal.upper is not None:
-                rows.append(Constraint(coeffs, "<=", goal.upper))
+        rows += [Constraint(coeffs, relation, rhs) for relation, rhs in _goal_limits(goal, a_k[index - 1])]
     return LinearProgram(num_vars=wrm.shape[1], rows=tuple(rows))
 
 
@@ -338,22 +356,11 @@ def evaluate_goals(new_approx, base_approx, goals: GoalSpec, tol: float = GOAL_T
     base = np.asarray(base_approx, dtype=np.float64)
     checks = []
     for index, goal in goals.active().items():
-        value = float(new_approx[index - 1])
-        if goal.kind == "raise":
-            threshold = float(base[index - 1]) if goal.threshold is None else goal.threshold
-            ok = value >= threshold - tol
-            checks.append(GoalCheck(index, "raise", value, ok, threshold=threshold))
-        elif goal.kind == "lower":
-            threshold = float(base[index - 1]) if goal.threshold is None else goal.threshold
-            ok = value <= threshold + tol
-            checks.append(GoalCheck(index, "lower", value, ok, threshold=threshold))
-        else:
-            ok = True
-            if goal.lower is not None:
-                ok = ok and value >= goal.lower - tol
-            if goal.upper is not None:
-                ok = ok and value <= goal.upper + tol
-            checks.append(GoalCheck(index, "bound", value, ok, lower=goal.lower, upper=goal.upper))
+        achieved = float(new_approx[index - 1])
+        limits = _goal_limits(goal, float(base[index - 1]))
+        ok = all(achieved >= rhs - tol if relation == ">=" else achieved <= rhs + tol for relation, rhs in limits)
+        threshold = None if goal.kind == "bound" else limits[0][1]
+        checks.append(GoalCheck(index, goal.kind, achieved, ok, threshold, goal.lower, goal.upper))
     return tuple(checks)
 
 

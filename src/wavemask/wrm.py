@@ -57,6 +57,8 @@ def build_wrm(length: int, level: int, filters: FilterPair) -> ReconstructionMat
     """Build the approximation-band operator from its impulse response (column 0)."""
     if level < 1:
         raise ShapeError(f"level must be >= 1, got {level}")
+    if length < 2:
+        raise ShapeError(f"length must be >= 2, got {length}")
     if length % (1 << level):
         raise ShapeError(f"length {length} is not divisible by 2**{level}")
     unit = np.zeros(length >> level)

@@ -12,7 +12,17 @@ import random
 import numpy as np
 
 from wavemask.errors import MaskingError
-from wavemask.lp import Constraint, LinearProgram, Objective, max_violation
+from wavemask.lp import (
+    FEAS_TOL,
+    Constraint,
+    LinearProgram,
+    LpSolution,
+    Objective,
+    _drop_artificials,
+    _extract,
+    _Tableau,
+    max_violation,
+)
 from wavemask.masking import round_half_away
 from wavemask.microdata import MicrofileTable, Move
 
@@ -97,6 +107,69 @@ def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
         else:
             best = min(best, value)
     return ("optimal", best) if feasible else ("infeasible", None)
+
+
+def _build_phase1_full_width(rows: list[Constraint], num_vars: int):
+    """Standard-form tableau with split variables, slacks and artificials."""
+    nr = len(rows)
+    split = 2 * num_vars
+    n_slack = sum(1 for r in rows if r.relation != "=")
+    n_art = nr
+    ncols = split + n_slack + n_art
+    t = np.zeros((nr + 1, ncols + 1))
+    basis: list[int] = []
+    slack_at = split
+    art_at = split + n_slack
+    for i, row in enumerate(rows):
+        coeffs, rel, rhs = row.coeffs.copy(), row.relation, row.rhs
+        if rhs < 0.0:
+            coeffs, rhs = -coeffs, -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        t[i, :num_vars] = coeffs
+        t[i, num_vars:split] = -coeffs
+        if rel == "<=":
+            t[i, slack_at] = 1.0
+            slack_at += 1
+        elif rel == ">=":
+            t[i, slack_at] = -1.0
+            slack_at += 1
+        t[i, art_at + i] = 1.0
+        t[i, -1] = rhs
+        basis.append(art_at + i)
+    return _Tableau(t, basis), split, art_at
+
+
+def solve_full_width(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
+    """The simplex over every column, one tableau row laid out at a time.
+
+    ``wavemask.lp.solve`` drops the columns no row or cost touches; this
+    keeps them all, so the two must agree bit for bit.
+    """
+    rows = lp.all_rows()
+    tab, split, art_at = _build_phase1_full_width(rows, lp.num_vars)
+
+    phase1_cost = np.zeros(tab.ncols)
+    phase1_cost[art_at:] = -1.0
+    tab.set_objective(phase1_cost)
+    tab.run()
+    if tab.t[-1, -1] < -FEAS_TOL:
+        return LpSolution(status="infeasible")
+    tab = _drop_artificials(tab, art_at)
+
+    if mode == "feasibility":
+        return LpSolution(status="feasible", x=_extract(tab, lp.num_vars))
+
+    sense = lp.objective.sense
+    costs = np.zeros(tab.ncols)
+    sign = 1.0 if sense == "maximize" else -1.0
+    costs[: lp.num_vars] = sign * lp.objective.coeffs
+    costs[lp.num_vars : split] = -sign * lp.objective.coeffs
+    tab.set_objective(costs)
+    status = tab.run()
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+    x = _extract(tab, lp.num_vars)
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
 
 
 def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:

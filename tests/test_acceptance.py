@@ -169,7 +169,12 @@ def test_criterion_8_microdata_round_trip():
     spec = SelectionSpec(("mil",), ("1",), "area", areas)
     ok = True
     completed = 0
+    attempts = 0
     while completed < 40:
+        # a table with no eligible record is skipped; cap the draws so a
+        # generator that never yields one fails instead of hanging
+        attempts += 1
+        assert attempts <= 400, f"only {completed} of 40 tables had eligible records in 400 draws"
         table = random_table(rng, areas=areas, max_records=200)
         q = extract_quantity_signal(table, spec)
         total = int(q.sum())

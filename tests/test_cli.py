@@ -302,3 +302,45 @@ def test_missing_output_directory_names_the_output(tmp_path, capsys):
     assert f"cannot open {out}: No such file or directory" in err
     assert f"cannot open {out_csv}: No such file or directory" in err
     assert "input" not in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"index": 1, "goal": "bound", "min": "abc"},
+    {"index": 1, "goal": "bound", "min": "5"},
+    {"index": 1.5, "goal": "raise"},
+    {"index": True, "goal": "raise"},
+])
+def test_bad_goal_values_are_usage_errors(tmp_path, capsys, entry):
+    signal, _ = write_inputs(tmp_path)
+    goals = tmp_path / "bad-goals.json"
+    goals.write_text(json.dumps([entry]))
+    out = tmp_path / "masked.txt"
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: goal ")
+
+
+def test_non_numeric_config_options_are_usage_errors(tmp_path):
+    signal, goals = write_inputs(tmp_path)
+    config = tmp_path / "run.json"
+    mask = ["--config", str(config), "mask-signal", "--input", str(signal), "--goals", str(goals),
+            "--output", str(tmp_path / "o.txt")]
+    verify = ["--config", str(config), "verify", "--original", str(signal), "--masked", str(signal)]
+    for options, argv in (
+        ({"level": "two"}, mask),
+        ({"level": 1.9}, mask),
+        ({"seed": "abc"}, mask),
+        ({"override_coeffs": 5}, mask),
+        ({"wavelet": "daubechies:two"}, mask),
+        ({"wavelet": 2}, mask),
+        ({"level": "two"}, ["--config", str(config), "wrm", "--length", "16"]),
+        ({"tol": "loose"}, verify),
+    ):
+        config.write_text(json.dumps(options))
+        assert main(argv) == 1
+
+
+def test_wrm_length_below_two_is_a_usage_error(capsys):
+    assert main(["wrm", "--length", "0", "--level", "1"]) == 1
+    assert main(["wrm", "--length", "-4", "--level", "1"]) == 1
+    assert capsys.readouterr().err.count("length must be >= 2") == 2

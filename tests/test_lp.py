@@ -1,12 +1,16 @@
 """Two-phase simplex: statuses, feasibility guarantees, oracle agreement."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import random_lp, vertex_optimum
+from oracles import random_lp, solve_full_width, vertex_optimum
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
-from wavemask.lp import Constraint, LinearProgram, Objective, max_violation, solve
+from wavemask.lp import RELATIONS, Constraint, LinearProgram, Objective, max_violation, solve
+from wavemask.masking import GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
 
@@ -188,3 +192,80 @@ def test_validation_errors():
         solve(lp, mode="fastest")
     with pytest.raises(ConfigurationError):
         solve(lp, mode="optimize")
+
+
+def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
+    """A small LP with all-zero columns, signed zeros, "=" rows and any rhs sign.
+
+    Returns the program, a solve mode, and whether some column has a cost
+    but no row or bound (optimize mode must then end unbounded or infeasible).
+    """
+    n = int(rng.integers(1, 7))
+    anchor = rng.uniform(-3.0, 3.0, size=n)
+    zero_columns = rng.random(n) < 0.3
+    rows = []
+    for _ in range(int(rng.integers(0, 8))):
+        zeros = zero_columns | (rng.random(n) < 0.2)
+        coeffs = np.where(zeros, np.copysign(0.0, rng.uniform(-1.0, 1.0, size=n)), rng.uniform(-5.0, 5.0, size=n))
+        relation = RELATIONS[int(rng.integers(0, 3))]
+        margin = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * float(rng.uniform(0.0, 3.0))
+        choices = (float(coeffs @ anchor) + margin, float(rng.uniform(-6.0, 6.0)), 0.0, -0.0)
+        rows.append(Constraint(coeffs, relation, choices[int(rng.choice(4, p=(0.6, 0.2, 0.1, 0.1)))]))
+    costs = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-5.0, 5.0, size=n))
+    objective = Objective(costs, ("maximize", "minimize")[int(rng.integers(0, 2))])
+    bounds = None
+    if rng.random() < 0.4:
+        bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
+    lp = LinearProgram(num_vars=n, rows=tuple(rows), objective=objective, bounds=bounds)
+    in_rows = np.zeros(n, dtype=bool)
+    for row in lp.all_rows():
+        in_rows |= row.coeffs != 0.0
+    return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
+
+
+def signal_wide_goal_lps(count: int):
+    """Goal LPs that mask_signal builds for the benchmark's signal-wide inputs."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    filters = make_filter(*workloads.WAVELET)
+    for index in range(count):
+        inp = workloads.WORKLOADS["signal-wide"].make(1, workloads.STREAM_TIMED, index, None)
+        q = np.asarray(inp["q"], dtype=np.float64)
+        wrm = build_wrm(q.size, inp["level"], filters)
+        base = wrm.apply(decompose(q, filters, inp["level"]).approx)
+        yield build_constraints(wrm, base, GoalSpec.from_entries(inp["goals"]))
+
+
+def assert_same_solution(lp: LinearProgram, mode: str) -> str:
+    got, want = solve(lp, mode), solve_full_width(lp, mode)
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if got.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    assert got.objective_value == want.objective_value
+    return got.status
+
+
+def test_touched_columns_match_full_width_tableau():
+    """Dropping untouched columns changes no status, no bit of x, no objective."""
+    rng = np.random.default_rng(606)
+    seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
+    cost_only = no_rows = zero_column = equality = signed_zero_rhs = negative_rhs = 0
+    for _ in range(2400):
+        lp, mode, has_cost_only_column = random_lp_with_gaps(rng)
+        status = assert_same_solution(lp, mode)
+        seen[status] += 1
+        if mode == "optimize" and has_cost_only_column:
+            assert status in ("unbounded", "infeasible")
+            cost_only += status == "unbounded"
+        no_rows += not lp.all_rows()
+        zero_column += bool(lp.rows) and not np.all(np.any([row.coeffs != 0.0 for row in lp.rows], axis=0))
+        equality += any(row.relation == "=" for row in lp.rows)
+        signed_zero_rhs += any(np.signbit(row.rhs) and row.rhs == 0.0 for row in lp.rows)
+        negative_rhs += any(row.rhs < 0.0 for row in lp.rows)
+    assert min(seen.values()) >= 100, seen
+    assert min(cost_only, no_rows, zero_column, equality, signed_zero_rhs, negative_rhs) >= 50
+    for lp in signal_wide_goal_lps(6):
+        assert assert_same_solution(lp, "feasibility") == "feasible"

@@ -18,11 +18,14 @@ from refdata import (
 from wavemask.errors import ConfigurationError, DataError, MaskingError
 from wavemask.lp import Objective, max_violation, solve
 from wavemask.masking import (
+    GOAL_TOL,
     Goal,
+    GoalCheck,
     GoalSpec,
     MaskingConfig,
     assemble_masked_signal,
     build_constraints,
+    evaluate_goals,
     mask_signal,
     round_and_repair,
     round_half_away,
@@ -56,6 +59,53 @@ def test_goal_validation():
         GoalSpec(by_index={0: Goal(kind="raise")})
     with pytest.raises(ConfigurationError):
         GoalSpec.from_entries([{"index": 1, "goal": "lower"}, {"index": 1, "goal": "raise"}])
+
+
+def test_evaluate_goals_case_table():
+    below, above = np.nextafter(10.0 - GOAL_TOL, -np.inf), np.nextafter(-3.0 + GOAL_TOL, np.inf)
+    cases = {  # position: (goal, rebuilt value, current value)
+        1: (Goal("bound", lower=10.0), 10.0 - GOAL_TOL, 0.0),
+        2: (Goal("bound", lower=10.0), below, 0.0),
+        3: (Goal("bound", upper=-3.0), -3.0 + GOAL_TOL, 0.0),
+        4: (Goal("bound", upper=-3.0), above, 0.0),
+        5: (Goal("bound", lower=0.0, upper=5.0), 2.5, 0.0),
+        6: (Goal("bound", lower=0.0, upper=5.0), 5.0 + GOAL_TOL, 0.0),
+        7: (Goal("bound", lower=0.0, upper=5.0), -GOAL_TOL, 0.0),
+        8: (Goal("bound", lower=0.0, upper=5.0), 5.5, 0.0),
+        9: (Goal("bound", lower=0.0, upper=5.0), -1.0, 0.0),
+        10: (Goal("raise", threshold=7), 7.0 - GOAL_TOL, 100.0),
+        11: (Goal("raise", threshold=2.5), 2.0, -100.0),
+        12: (Goal("lower", threshold=-4), -4.0 + GOAL_TOL, -100.0),
+        13: (Goal("lower", threshold=1.25), 1.5, 100.0),
+        14: (Goal("raise"), 8.5, 8.0),
+        15: (Goal("raise"), 7.5, 8.0),
+        16: (Goal("lower"), 8.5, 8.0),
+        17: (Goal("lower"), -1.0, 8.0),
+        18: (Goal("free"), 1.0, 2.0),
+    }
+    goals = GoalSpec(by_index={i: goal for i, (goal, _, _) in cases.items()})
+    new_approx = [value for _, value, _ in cases.values()]
+    base_approx = [current for _, _, current in cases.values()]
+    assert evaluate_goals(new_approx, base_approx, goals) == (
+        GoalCheck(1, "bound", 10.0 - GOAL_TOL, True, lower=10.0),
+        GoalCheck(2, "bound", below, False, lower=10.0),
+        GoalCheck(3, "bound", -3.0 + GOAL_TOL, True, upper=-3.0),
+        GoalCheck(4, "bound", above, False, upper=-3.0),
+        GoalCheck(5, "bound", 2.5, True, lower=0.0, upper=5.0),
+        GoalCheck(6, "bound", 5.0 + GOAL_TOL, True, lower=0.0, upper=5.0),
+        GoalCheck(7, "bound", -GOAL_TOL, True, lower=0.0, upper=5.0),
+        GoalCheck(8, "bound", 5.5, False, lower=0.0, upper=5.0),
+        GoalCheck(9, "bound", -1.0, False, lower=0.0, upper=5.0),
+        GoalCheck(10, "raise", 7.0 - GOAL_TOL, True, threshold=7.0),
+        GoalCheck(11, "raise", 2.0, False, threshold=2.5),
+        GoalCheck(12, "lower", -4.0 + GOAL_TOL, True, threshold=-4.0),
+        GoalCheck(13, "lower", 1.5, False, threshold=1.25),
+        GoalCheck(14, "raise", 8.5, True, threshold=8.0),
+        GoalCheck(15, "raise", 7.5, False, threshold=8.0),
+        GoalCheck(16, "lower", 8.5, False, threshold=8.0),
+        GoalCheck(17, "lower", -1.0, True, threshold=8.0),
+    )
+    assert all(isinstance(check.threshold, float) for check in evaluate_goals(new_approx, base_approx, goals)[9:])
 
 
 def test_build_constraints_worked_example_layout():
