@@ -8,7 +8,7 @@ count signals from categorical CSV files and rewrites them to match.
 """
 
 from .errors import ConfigurationError, DataError, MaskingError, ShapeError, WavemaskError
-from .lp import Constraint, LinearProgram, LpSolution, Objective, max_violation, solve
+from .lp import LinearProgram, LpSolution, Objective, max_violation, solve
 from .masking import (
     Goal,
     GoalCheck,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "Constraint",
     "DataError",
     "Decomposition",
     "FilterPair",

@@ -172,8 +172,8 @@ def _report_payload(result: MaskingResult, config: MaskingConfig) -> dict:
             for index, goal in config.goals.by_index.items()
         ],
         "lp_rows": [
-            {"coeffs": _vec(row.coeffs), "relation": row.relation, "rhs": _sig12(row.rhs)}
-            for row in result.lp.rows
+            {"coeffs": _vec(coeffs), "relation": relation, "rhs": _sig12(rhs)}
+            for coeffs, relation, rhs in zip(result.lp.coeffs, result.lp.relations, result.lp.rhs)
         ],
         "a_k_hat": _vec(result.new_coeffs),
         "A_k_hat": _vec(result.new_approx),
@@ -213,6 +213,8 @@ def _selection(eff: dict) -> SelectionSpec:
         raise ConfigurationError("missing required option --vital ATTR=VALUE")
     if isinstance(pairs, dict):
         pairs = [f"{k}={v}" for k, v in pairs.items()]
+    if not isinstance(pairs, list):
+        raise ConfigurationError(f"--vital expects ATTR=VALUE pairs, got {pairs!r}")
     attrs, values = [], []
     for pair in pairs:
         name, sep, value = str(pair).partition("=")
@@ -224,6 +226,8 @@ def _selection(eff: dict) -> SelectionSpec:
     raw_values = _require(eff, "parameter_values", "--parameter-values")
     if isinstance(raw_values, str):
         raw_values = [v.strip() for v in raw_values.split(",") if v.strip()]
+    elif not isinstance(raw_values, list):
+        raise ConfigurationError(f"--parameter-values expects a list or a comma-separated string, got {raw_values!r}")
     return SelectionSpec(
         vital_attributes=tuple(attrs),
         vital_combination=tuple(values),
@@ -353,7 +357,7 @@ def _add_masking_options(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated replacement coefficients, bypasses the LP")
     sub.add_argument("--repro", action="store_const", const=True,
                      help="repeatable preset: requires numeric --offset, disables repair")
-    sub.add_argument("--seed", type=int, help="seed for record selection (microfile rewrite)")
+    sub.add_argument("--seed", help="seed for record selection (microfile rewrite)")
     sub.add_argument("--report", help="write a JSON report of every stage here")
 
 
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of option defaults; flags win")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--wavelet", help="filter pair, e.g. daubechies:2 or haar")
-    common.add_argument("--level", type=int, help="decomposition depth k")
+    common.add_argument("--level", help="decomposition depth k")
 
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -395,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     wm = commands.add_parser("wrm", parents=[common],
                              help="dump the reconstruction matrix as CSV")
-    wm.add_argument("--length", type=int, help="signal length m")
+    wm.add_argument("--length", help="signal length m")
     wm.add_argument("--output", help="CSV destination (default stdout)")
 
     vf = commands.add_parser("verify", parents=[common],
                              help="check total preservation and detail proportionality")
     vf.add_argument("--original", help="original signal file (or CSV with selection flags)")
     vf.add_argument("--masked", help="masked signal file (or CSV)")
-    vf.add_argument("--tol", type=float, help="relative tolerance (default 1e-6)")
+    vf.add_argument("--tol", help="relative tolerance (default 1e-6)")
     _add_selection_options(vf)
     return parser
 
@@ -428,7 +432,12 @@ def main(argv=None) -> int:
             if not isinstance(defaults, dict):
                 raise ConfigurationError(f"{args.config}: expected a JSON object")
         given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
-        return _HANDLERS[args.command]({**defaults, **given})
+        eff = {**defaults, **given}
+        for key in ("input", "output", "goals", "report", "scaled_output", "original", "masked"):
+            value = eff.get(key)
+            if not (value is None or isinstance(value, str) or (key == "goals" and isinstance(value, list))):
+                raise ConfigurationError(f"--{key.replace('_', '-')} expects a file path, got {value!r}")
+        return _HANDLERS[args.command](eff)
     except (FileNotFoundError, IsADirectoryError) as exc:
         # a missing or unopenable path named on the command line or in the config
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)

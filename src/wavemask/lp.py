@@ -1,12 +1,12 @@
 """Dense two-phase primal simplex for the goal systems built here.
 
-A system has a free variable per approximation coefficient and a row per
-goal: hundreds of each, e.g. 512 variables by 256 rows.  The tableau spans
-only the columns that some row (or, when optimizing, the objective) touches;
-the others come back as 0.  Steps are vectorized over the tableau, yet
-robustness and determinism come first: Bland's rule for anti-cycling, free
-variables split into positive parts, explicit tableau arithmetic in float64.
-Infeasibility and unboundedness are reported as statuses, never raised.
+A system is one coefficient matrix plus a relation and a rhs per row, with
+a free variable per column (an approximation coefficient): e.g. 256 goal rows
+by 512 columns.  The tableau spans only the columns that some row (or, when
+optimizing, the objective) touches; the others come back as 0.  Steps are
+vectorized, yet robustness and determinism come first: Bland's rule for
+anti-cycling, free variables split into positive parts, explicit tableau
+arithmetic in float64.  Infeasibility and unboundedness are statuses.
 """
 
 from __future__ import annotations
@@ -25,32 +25,6 @@ RELATIONS = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """One linear row: coeffs . x  <relation>  rhs."""
-
-    coeffs: np.ndarray
-    relation: str
-    rhs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs))
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if self.relation not in RELATIONS:
-            raise ConfigurationError(f"unknown relation {self.relation!r}")
-        if not np.all(np.isfinite(self.coeffs)) or not np.isfinite(self.rhs):
-            raise ConfigurationError("constraint contains non-finite values")
-
-    def violation(self, x: np.ndarray) -> float:
-        """How far x is from satisfying this row (0 when satisfied)."""
-        lhs = float(self.coeffs @ x)
-        if self.relation == "<=":
-            return max(0.0, lhs - self.rhs)
-        if self.relation == ">=":
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
-
-
-@dataclass(frozen=True)
 class Objective:
     coeffs: np.ndarray
     sense: str  # "maximize" or "minimize"
@@ -63,26 +37,31 @@ class Objective:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Rows over num_vars free variables, optional objective and box bounds.
+    """Rows ``coeffs @ x <relations> rhs`` over free variables, one per column.
 
-    Bounds default to unbounded on both sides; a bound of None leaves that
-    side open.
+    ``coeffs`` is kept read-only; a read-only array that owns its data is not
+    copied.  Bounds default to unbounded; a bound of None leaves that side open.
     """
 
-    num_vars: int
-    rows: tuple[Constraint, ...]
+    coeffs: np.ndarray
+    relations: tuple[str, ...]
+    rhs: np.ndarray
     objective: Objective | None = None
     bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.num_vars < 1:
-            raise ConfigurationError(f"num_vars must be positive, got {self.num_vars}")
-        for i, row in enumerate(self.rows):
-            if row.coeffs.size != self.num_vars:
-                raise ConfigurationError(
-                    f"row {i}: expected {self.num_vars} coefficients, got {row.coeffs.size}"
-                )
+        coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        object.__setattr__(self, "coeffs", coeffs if coeffs.flags.owndata and not coeffs.flags.writeable else _frozen(coeffs))
+        object.__setattr__(self, "relations", tuple(self.relations))
+        object.__setattr__(self, "rhs", _frozen(self.rhs))
+        if coeffs.ndim != 2 or coeffs.shape[1] < 1:
+            raise ConfigurationError(f"coeffs must be 2-D with at least one column, got shape {coeffs.shape}")
+        if len(self.relations) != len(coeffs) or self.rhs.shape != (len(coeffs),):
+            raise ConfigurationError(f"{len(coeffs)} rows, {len(self.relations)} relations and {self.rhs.size} rhs values")
+        if not set(self.relations) <= set(RELATIONS):
+            raise ConfigurationError(f"unknown relation in {sorted(set(self.relations) - set(RELATIONS))}")
+        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(self.rhs)):
+            raise ConfigurationError("constraint contains non-finite values")
         if self.objective is not None and self.objective.coeffs.size != self.num_vars:
             raise ConfigurationError("objective length does not match num_vars")
         if self.bounds is not None:
@@ -90,18 +69,22 @@ class LinearProgram:
             if len(self.bounds) != self.num_vars:
                 raise ConfigurationError("bounds length does not match num_vars")
 
-    def all_rows(self) -> list[Constraint]:
-        """Constraint rows plus bounds rewritten as rows."""
-        rows = list(self.rows)
-        if self.bounds is not None:
-            for i, (lo, hi) in enumerate(self.bounds):
-                unit = np.zeros(self.num_vars)
-                unit[i] = 1.0
-                if lo is not None:
-                    rows.append(Constraint(unit, ">=", lo))
-                if hi is not None:
-                    rows.append(Constraint(unit, "<=", hi))
-        return rows
+    @property
+    def num_vars(self) -> int:
+        return self.coeffs.shape[1]
+
+    def with_bounds(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        """(coeffs, relations, rhs) with a unit row per bound side that is set, the LP's own arrays when unbounded."""
+        if self.bounds is None:
+            return self.coeffs, self.relations, self.rhs
+        limits = np.array(self.bounds, dtype=object).reshape(self.num_vars, 2)
+        column, side = np.nonzero(np.not_equal(limits, None))  # per column: lower, then upper
+        units = (column[:, None] == np.arange(self.num_vars)).astype(np.float64)
+        relations = self.relations + tuple(np.array((">=", "<="))[side].tolist())
+        rhs = np.concatenate((self.rhs, limits[column, side].astype(np.float64)))
+        if not np.all(np.isfinite(rhs)):
+            raise ConfigurationError("constraint contains non-finite values")
+        return np.vstack((self.coeffs, units)), relations, rhs
 
 
 @dataclass(frozen=True)
@@ -113,11 +96,11 @@ class LpSolution:
 
 def max_violation(lp: LinearProgram, x) -> float:
     """Largest violation of any row or bound at point x (0 when feasible)."""
-    point = np.asarray(x, dtype=np.float64)
-    rows = lp.all_rows()
-    if not rows:
-        return 0.0
-    return max(row.violation(point) for row in rows)
+    coeffs, relations, rhs = lp.with_bounds()
+    excess = coeffs @ np.asarray(x, dtype=np.float64) - rhs
+    relation = np.array(relations, dtype=str)
+    gap = np.where(relation == ">=", -excess, np.where(relation == "=", np.abs(excess), excess))
+    return float(np.max(gap, initial=0.0))
 
 
 class _Tableau:
@@ -126,10 +109,6 @@ class _Tableau:
     def __init__(self, body: np.ndarray, basis: list[int]):
         self.t = body  # (rows+1) x (cols+1), last column rhs, last row costs
         self.basis = basis
-
-    @property
-    def nrows(self) -> int:
-        return self.t.shape[0] - 1
 
     @property
     def ncols(self) -> int:
@@ -156,7 +135,7 @@ class _Tableau:
     def run(self) -> str:
         """Bland's rule simplex; returns "optimal" or "unbounded"."""
         t = self.t
-        for _ in range(10_000 * (self.nrows + self.ncols + 1)):
+        for _ in range(10_000 * (len(self.basis) + self.ncols + 1)):
             improving = np.flatnonzero(t[-1, :-1] < -PIVOT_TOL)
             if improving.size == 0:
                 return "optimal"
@@ -172,19 +151,17 @@ class _Tableau:
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
 
 
-def _build_phase1(rows: list[Constraint], columns: np.ndarray):
+def _build_phase1(coeffs: np.ndarray, relations: tuple[str, ...], rhs: np.ndarray, columns: np.ndarray):
     """Standard-form tableau over the given columns: split parts, slacks, artificials."""
-    nr, width = len(rows), columns.size
+    nr, width = rhs.size, columns.size
     split = 2 * width
-    rhs = np.array([row.rhs for row in rows])
     flip = rhs < 0.0  # such a row is negated, and its relation reverses
-    relation = np.array([row.relation for row in rows], dtype=object)
+    relation = np.array(relations, dtype=str)
     slack_rows = np.flatnonzero(relation != "=")
     art_at = split + slack_rows.size
     t = np.zeros((nr + 1, art_at + nr + 1))
     sign = np.where(flip, -1.0, 1.0)
-    for i, row in enumerate(rows):
-        np.multiply(row.coeffs[columns], sign[i], out=t[i, :width])
+    np.multiply(coeffs[:, columns], sign[:, None], out=t[:nr, :width])
     np.negative(t[:nr, :width], out=t[:nr, width:split])
     at_most = (relation == "<=") != flip
     t[slack_rows, split + np.arange(slack_rows.size)] = np.where(at_most[slack_rows], 1.0, -1.0)
@@ -196,7 +173,7 @@ def _build_phase1(rows: list[Constraint], columns: np.ndarray):
 def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
     """Pivot basic artificials out (or drop their redundant rows), then cut columns."""
     keep_rows = []
-    for i in range(tab.nrows):
+    for i in range(len(tab.basis)):
         if tab.basis[i] < art_at:
             keep_rows.append(i)
             continue
@@ -208,7 +185,7 @@ def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
             tab.pivot(i, int(candidates[0]))
             keep_rows.append(i)
         # else: row is redundant (all-zero over real columns) and is dropped
-    body = tab.t[np.array(keep_rows + [tab.nrows], dtype=int)][:, list(range(art_at)) + [-1]]
+    body = tab.t[np.array(keep_rows + [-1], dtype=int)][:, list(range(art_at)) + [-1]]
     basis = [tab.basis[i] for i in keep_rows]
     return _Tableau(np.ascontiguousarray(body), basis)
 
@@ -229,15 +206,15 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     if mode == "optimize" and lp.objective is None:
         raise ConfigurationError("optimize mode requires an objective")
 
-    rows = lp.all_rows()
+    coeffs, relations, rhs = lp.with_bounds()
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.
-    touched = (lp.objective.coeffs != 0.0) if mode == "optimize" else np.zeros(lp.num_vars, dtype=bool)
-    for row in rows:
-        touched |= row.coeffs != 0.0
+    touched = np.any(coeffs != 0.0, axis=0)
+    if mode == "optimize":
+        touched |= lp.objective.coeffs != 0.0
     columns = np.flatnonzero(touched)
-    tab, split, art_at = _build_phase1(rows, columns)
+    tab, split, art_at = _build_phase1(coeffs, relations, rhs, columns)
 
     phase1_cost = np.zeros(tab.ncols)
     phase1_cost[art_at:] = -1.0

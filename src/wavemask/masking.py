@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError
-from .lp import Constraint, LinearProgram, LpSolution, Objective, max_violation, solve
+from .lp import LinearProgram, Objective, max_violation, solve
 from .wavelet import Decomposition, FilterPair, _frozen, as_signal, decompose, make_filter, reconstruct_component
 from .wrm import ReconstructionMatrix, build_wrm
 
@@ -149,6 +149,8 @@ class MaskingConfig:
                 raise ConfigurationError("optimize mode needs finite coefficient bounds")
         if self.override_coeffs is not None:
             object.__setattr__(self, "override_coeffs", tuple(float(v) for v in self.override_coeffs))
+            if not all(map(math.isfinite, self.override_coeffs)):
+                raise ConfigurationError(f"override coefficients must be finite, got {self.override_coeffs}")
 
     def filters(self) -> FilterPair:
         return make_filter(self.family, self.order)
@@ -213,7 +215,7 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
 
     Goal i gives the rows of ``_goal_limits`` over wrm row i, with thresholds
     defaulting to the current approximation value at i.  Rows are emitted in
-    ascending position order.
+    ascending position order, gathered from the operator in one call.
     """
     a_k = np.asarray(approx, dtype=np.float64)
     if a_k.size != wrm.length:
@@ -223,11 +225,9 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
         raise ConfigurationError("goal set has no raise/lower/bound entries; masking would be a no-op")
     if max(active) > wrm.length:
         raise ConfigurationError(f"goal index {max(active)} exceeds signal length {wrm.length}")
-    rows = []
-    for index, goal in active.items():
-        coeffs = wrm.row(index)
-        rows += [Constraint(coeffs, relation, rhs) for relation, rhs in _goal_limits(goal, a_k[index - 1])]
-    return LinearProgram(num_vars=wrm.shape[1], rows=tuple(rows))
+    limits = [(index, *limit) for index, goal in active.items() for limit in _goal_limits(goal, a_k[index - 1])]
+    positions, relations, rhs = zip(*limits)
+    return LinearProgram(wrm.rows(positions), relations, rhs)
 
 
 def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
@@ -247,10 +247,8 @@ def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
         return x
 
     if config.lp_mode == "optimize":
-        work = replace(lp, objective=config.objective, bounds=config.coefficient_bounds)
-        solution: LpSolution = solve(work, mode="optimize")
-    else:
-        solution = solve(lp, mode="feasibility")
+        lp = replace(lp, objective=config.objective, bounds=config.coefficient_bounds)
+    solution = solve(lp, mode=config.lp_mode)
     if solution.status == "infeasible":
         raise MaskingError("goals unsatisfiable: no coefficient vector meets every row")
     if solution.status == "unbounded":

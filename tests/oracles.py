@@ -14,7 +14,6 @@ import numpy as np
 from wavemask.errors import MaskingError
 from wavemask.lp import (
     FEAS_TOL,
-    Constraint,
     LinearProgram,
     LpSolution,
     Objective,
@@ -85,13 +84,13 @@ def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
     Needs bounds in the program so the optimum sits on a vertex.
     Returns (status, best_value).
     """
-    rows = lp.all_rows()
+    coeffs, _relations, rhs = lp.with_bounds()
     n = lp.num_vars
     best = None
     feasible = False
-    for subset in itertools.combinations(range(len(rows)), n):
-        a = np.array([rows[i].coeffs for i in subset])
-        b = np.array([rows[i].rhs for i in subset])
+    for subset in itertools.combinations(range(rhs.size), n):
+        a = np.array([coeffs[i] for i in subset])
+        b = np.array([rhs[i] for i in subset])
         try:
             x = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
@@ -109,19 +108,33 @@ def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
     return ("optimal", best) if feasible else ("infeasible", None)
 
 
-def _build_phase1_full_width(rows: list[Constraint], num_vars: int):
-    """Standard-form tableau with split variables, slacks and artificials."""
+def max_violation_loop(lp: LinearProgram, x) -> float:
+    """Largest row or bound violation at x, one dot product per row."""
+    worst = 0.0
+    for coeffs, relation, rhs in zip(*lp.with_bounds()):
+        lhs = float(coeffs @ x)
+        gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[relation]
+        worst = max(worst, gap)
+    return worst
+
+
+def _build_phase1_full_width(system, num_vars: int):
+    """Standard-form tableau with split variables, slacks and artificials.
+
+    ``system`` is the (coeffs, relations, rhs) triple of ``with_bounds``.
+    """
+    rows = list(zip(*system))
     nr = len(rows)
     split = 2 * num_vars
-    n_slack = sum(1 for r in rows if r.relation != "=")
+    n_slack = sum(1 for _coeffs, rel, _rhs in rows if rel != "=")
     n_art = nr
     ncols = split + n_slack + n_art
     t = np.zeros((nr + 1, ncols + 1))
     basis: list[int] = []
     slack_at = split
     art_at = split + n_slack
-    for i, row in enumerate(rows):
-        coeffs, rel, rhs = row.coeffs.copy(), row.relation, row.rhs
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        coeffs = coeffs.copy()
         if rhs < 0.0:
             coeffs, rhs = -coeffs, -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
@@ -145,8 +158,7 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility") -> LpSolution
     ``wavemask.lp.solve`` drops the columns no row or cost touches; this
     keeps them all, so the two must agree bit for bit.
     """
-    rows = lp.all_rows()
-    tab, split, art_at = _build_phase1_full_width(rows, lp.num_vars)
+    tab, split, art_at = _build_phase1_full_width(lp.with_bounds(), lp.num_vars)
 
     phase1_cost = np.zeros(tab.ncols)
     phase1_cost[art_at:] = -1.0
@@ -176,7 +188,7 @@ def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
     """Random boxed LP, feasible for most draws but not all."""
     n = int(rng.integers(2, max_vars + 1))
     anchor = rng.uniform(-3.0, 3.0, size=n)
-    rows = []
+    rows, relations, limits = [], [], []
     for _ in range(int(rng.integers(1, max_rows + 1))):
         coeffs = rng.uniform(-5.0, 5.0, size=n)
         value = float(coeffs @ anchor)
@@ -186,14 +198,23 @@ def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
         if rng.random() < 0.15:
             # sometimes cut the anchor off so infeasible systems occur too
             rhs = value + float(rng.uniform(-4.0, 4.0))
-        rows.append(Constraint(coeffs, relation, rhs))
+        rows.append(coeffs)
+        relations.append(relation)
+        limits.append(rhs)
     sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
     return LinearProgram(
-        num_vars=n,
-        rows=tuple(rows),
+        np.array(rows),
+        relations,
+        limits,
         objective=Objective(rng.uniform(-5.0, 5.0, size=n), sense),
         bounds=tuple((-10.0, 10.0) for _ in range(n)),
     )
+
+
+def gather_rows(wrm, positions) -> np.ndarray:
+    """Operator rows at 1-based positions, entry (i, j) = impulse[(i - 1 - j * 2**level) mod m]."""
+    shifts = np.arange(wrm.shape[1]) << wrm.level
+    return wrm.impulse[(np.asarray(positions)[:, None] - 1 - shifts) % wrm.length]
 
 
 def random_table(rng, areas, max_records: int = 200) -> MicrofileTable:

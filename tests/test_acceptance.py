@@ -62,12 +62,12 @@ def test_criterion_4_constraint_system():
     grid = wrm.entries @ decompose(Q16, D4, 2).approx
     lp = build_constraints(wrm, grid, WORKED_GOALS)
 
-    ok = len(lp.rows) == 12
+    ok = len(lp.coeffs) == len(lp.relations) == len(lp.rhs) == 12
     order = sorted(LOWER_POSITIONS + RAISE_POSITIONS)
-    for row, index in zip(lp.rows, order):
-        ok = ok and row.relation == ("<=" if index in LOWER_POSITIONS else ">=")
-        ok = ok and bool(np.max(np.abs(row.coeffs - MREC_3DP[index - 1])) < 1e-3)
-        ok = ok and abs(row.rhs - A2_GRID_3DP[index - 1]) < 1e-3
+    for coeffs, relation, rhs, index in zip(lp.coeffs, lp.relations, lp.rhs, order):
+        ok = ok and relation == ("<=" if index in LOWER_POSITIONS else ">=")
+        ok = ok and bool(np.max(np.abs(coeffs - MREC_3DP[index - 1])) < 1e-3)
+        ok = ok and abs(rhs - A2_GRID_3DP[index - 1]) < 1e-3
     ok = ok and max_violation(lp, A2_HAT) <= 1.0
     assert verdict(4, "constraint system and quoted solution", ok)
 

@@ -344,3 +344,69 @@ def test_wrm_length_below_two_is_a_usage_error(capsys):
     assert main(["wrm", "--length", "0", "--level", "1"]) == 1
     assert main(["wrm", "--length", "-4", "--level", "1"]) == 1
     assert capsys.readouterr().err.count("length must be >= 2") == 2
+
+
+def test_non_finite_override_is_a_usage_error(tmp_path, capsys):
+    signal, goals = write_inputs(tmp_path)
+    out = tmp_path / "masked.txt"
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(out),
+                 "--override-coeffs", "inf,0,0,0"]) == 1
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mask-signal", "--level", "1.5"],
+    ["mask-signal", "--seed", "x"],
+    ["wrm", "--length", "16.5"],
+    ["wrm", "--length", "16", "--level", "1.5"],
+    ["verify", "--tol", "nan"],
+])
+def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv):
+    signal, goals = write_inputs(tmp_path)
+    paths = {
+        "mask-signal": ["--input", str(signal), "--goals", str(goals), "--output", str(tmp_path / "o.txt")],
+        "wrm": [],
+        "verify": ["--original", str(signal), "--masked", str(signal)],
+    }[argv[0]]
+    assert main(argv + paths) == 1
+    flag = argv[-2]
+    assert f"error: {flag} expects" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("command,options", [
+    ("mask-signal", {"output": 1}),
+    ("mask-signal", {"output": True}),
+    ("mask-signal", {"output": ["o.txt"]}),
+    ("mask-signal", {"input": 0}),
+    ("mask-signal", {"input": 5}),
+    ("mask-signal", {"goals": 5}),
+    ("mask-signal", {"report": 9}),
+    ("mask-signal", {"scaled_output": 9}),
+    ("mask-microfile", {"vital": 5}),
+    ("mask-microfile", {"parameter_values": 5}),
+    ("mask-microfile", {"output": 1}),
+    ("wrm", {"output": 1}),
+    ("verify", {"original": 3}),
+    ("verify", {"masked": 3}),
+])
+def test_config_paths_must_be_strings(tmp_path, capsys, command, options):
+    # open() would take a number as a file descriptor: 1 wrote to stdout, 0 read stdin
+    signal, goals = write_inputs(tmp_path)
+    source, micro_goals = microfile_inputs(tmp_path)
+    base = {
+        "mask-signal": {"input": str(signal), "goals": str(goals), "output": str(tmp_path / "o.txt")},
+        "mask-microfile": {"input": str(source), "output": str(tmp_path / "o.csv"), "vital": ["mil=1"],
+                           "parameter_attribute": "area", "parameter_values": "A,B,C,D",
+                           "goals": str(micro_goals), "wavelet": "haar", "level": 1},
+        "wrm": {"length": 16},
+        "verify": {"original": str(signal), "masked": str(signal)},
+    }[command]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**base, **options}))
+    assert main(["--config", str(config), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert not (tmp_path / "o.txt").exists() and not (tmp_path / "o.csv").exists()

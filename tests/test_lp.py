@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import random_lp, solve_full_width, vertex_optimum
+from oracles import max_violation_loop, random_lp, solve_full_width, vertex_optimum
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
-from wavemask.lp import RELATIONS, Constraint, LinearProgram, Objective, max_violation, solve
+from wavemask.lp import RELATIONS, LinearProgram, Objective, max_violation, solve
 from wavemask.masking import GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
@@ -17,8 +17,7 @@ from wavemask.wrm import build_wrm
 
 def test_single_variable_maximum():
     lp = LinearProgram(
-        num_vars=1,
-        rows=(Constraint([1.0], "<=", 1.0), Constraint([1.0], ">=", 0.0)),
+        [[1.0], [1.0]], ("<=", ">="), (1.0, 0.0),
         objective=Objective([1.0], "maximize"),
     )
     sol = solve(lp, mode="optimize")
@@ -28,27 +27,20 @@ def test_single_variable_maximum():
 
 
 def test_infeasible_status():
-    lp = LinearProgram(
-        num_vars=1,
-        rows=(Constraint([1.0], "<=", 0.0), Constraint([1.0], ">=", 1.0)),
-    )
+    lp = LinearProgram([[1.0], [1.0]], ("<=", ">="), (0.0, 1.0))
     assert solve(lp).status == "infeasible"
 
 
 def test_unbounded_status():
     lp = LinearProgram(
-        num_vars=1,
-        rows=(Constraint([1.0], ">=", 0.0),),
+        [[1.0]], (">=",), (0.0,),
         objective=Objective([1.0], "maximize"),
     )
     assert solve(lp, mode="optimize").status == "unbounded"
 
 
 def test_equality_rows():
-    lp = LinearProgram(
-        num_vars=2,
-        rows=(Constraint([1.0, 1.0], "=", 2.0), Constraint([1.0, -1.0], "=", 0.0)),
-    )
+    lp = LinearProgram([[1.0, 1.0], [1.0, -1.0]], ("=", "="), (2.0, 0.0))
     sol = solve(lp)
     assert sol.status == "feasible"
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
@@ -56,8 +48,7 @@ def test_equality_rows():
 
 def test_free_variables_can_go_negative():
     lp = LinearProgram(
-        num_vars=2,
-        rows=(Constraint([1.0, 0.0], "<=", -5.0), Constraint([0.0, 1.0], ">=", -2.0)),
+        [[1.0, 0.0], [0.0, 1.0]], ("<=", ">="), (-5.0, -2.0),
         objective=Objective([1.0, -1.0], "maximize"),
         bounds=((-10.0, 10.0), (-10.0, 10.0)),
     )
@@ -69,8 +60,7 @@ def test_free_variables_can_go_negative():
 
 def test_bounds_are_honored_in_feasibility_mode():
     lp = LinearProgram(
-        num_vars=2,
-        rows=(Constraint([1.0, 1.0], ">=", 3.0),),
+        [[1.0, 1.0]], (">=",), (3.0,),
         bounds=((0.0, 2.0), (0.0, 2.0)),
     )
     sol = solve(lp)
@@ -81,16 +71,17 @@ def test_bounds_are_honored_in_feasibility_mode():
 def test_degenerate_instance_terminates():
     """Classic cycling example for naive pivoting; Bland's rule must finish."""
     lp = LinearProgram(
-        num_vars=4,
-        rows=(
-            Constraint([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
-            Constraint([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
-            Constraint([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
-            Constraint([1.0, 0.0, 0.0, 0.0], ">=", 0.0),
-            Constraint([0.0, 1.0, 0.0, 0.0], ">=", 0.0),
-            Constraint([0.0, 0.0, 1.0, 0.0], ">=", 0.0),
-            Constraint([0.0, 0.0, 0.0, 1.0], ">=", 0.0),
-        ),
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ],
+        ("<=", "<=", "<=", ">=", ">=", ">=", ">="),
+        (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
         objective=Objective([0.75, -150.0, 0.02, -6.0], "maximize"),
     )
     sol = solve(lp, mode="optimize")
@@ -103,13 +94,9 @@ def test_exact_ratio_tie_leaves_lowest_basic_index():
     # the row whose basic variable has the lower index leave, which ends at
     # the vertex (4, 7); letting the other row leave ends at (2, 3).
     lp = LinearProgram(
-        num_vars=2,
-        rows=(
-            Constraint([-1.0, 2.0], ">=", 4.0),
-            Constraint([-1.0, 1.0], "<=", 3.0),
-            Constraint([-2.0, -1.0], "<=", 3.0),
-            Constraint([2.0, -1.0], ">=", 1.0),
-        ),
+        [[-1.0, 2.0], [-1.0, 1.0], [-2.0, -1.0], [2.0, -1.0]],
+        (">=", "<=", "<=", ">="),
+        (4.0, 3.0, 3.0, 1.0),
     )
     sol = solve(lp)
     assert sol.status == "feasible"
@@ -161,11 +148,9 @@ def test_worked_example_system_is_feasible():
     wrm = build_wrm(16, 2, filt)
     a2 = decompose(Q16, filt, 2).approx
     grid = wrm.entries @ a2
-    rows = []
-    for i in sorted(LOWER_POSITIONS + RAISE_POSITIONS):
-        relation = "<=" if i in LOWER_POSITIONS else ">="
-        rows.append(Constraint(wrm.row(i), relation, grid[i - 1]))
-    lp = LinearProgram(num_vars=4, rows=tuple(rows))
+    positions = sorted(LOWER_POSITIONS + RAISE_POSITIONS)
+    relations = ["<=" if i in LOWER_POSITIONS else ">=" for i in positions]
+    lp = LinearProgram(wrm.rows(positions), relations, grid[np.array(positions) - 1])
 
     sol = solve(lp)
     assert sol.status == "feasible"
@@ -176,22 +161,45 @@ def test_worked_example_system_is_feasible():
 
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
-        Constraint([1.0, np.nan], "<=", 0.0)
+        LinearProgram([[1.0, np.nan]], ("<=",), (0.0,))
     with pytest.raises(ConfigurationError):
-        Constraint([1.0], "<=", np.inf)
+        LinearProgram([[1.0]], ("<=",), (np.inf,))
     with pytest.raises(ConfigurationError):
-        Constraint([1.0], "!!", 0.0)
+        LinearProgram([[1.0]], ("!!",), (0.0,))
     with pytest.raises(ConfigurationError):
         Objective([1.0], "biggest")
     with pytest.raises(ConfigurationError):
-        LinearProgram(num_vars=2, rows=(Constraint([1.0], "<=", 0.0),))
+        LinearProgram([[1.0]], ("<=",), (0.0,), objective=Objective([1.0, 2.0], "maximize"))
     with pytest.raises(ConfigurationError):
-        LinearProgram(num_vars=1, rows=(), bounds=((0.0, 1.0), (0.0, 1.0)))
-    lp = LinearProgram(num_vars=1, rows=(Constraint([1.0], ">=", 0.0),))
+        LinearProgram(np.zeros((0, 1)), (), (), bounds=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ConfigurationError, match="relations"):
+        LinearProgram([[1.0], [2.0]], ("<=",), (0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="rhs"):
+        LinearProgram([[1.0], [2.0]], ("<=", ">="), (0.0,))
+    with pytest.raises(ConfigurationError, match="2-D"):
+        LinearProgram([1.0, 2.0], ("<=",), (0.0,))
+    with pytest.raises(ConfigurationError, match="column"):
+        LinearProgram(np.zeros((1, 0)), ("<=",), (0.0,))
+    lp = LinearProgram([[1.0]], (">=",), (0.0,))
     with pytest.raises(ConfigurationError):
         solve(lp, mode="fastest")
     with pytest.raises(ConfigurationError):
         solve(lp, mode="optimize")
+
+
+def test_coeffs_are_read_only_and_shared_only_when_owned():
+    wrm = build_wrm(64, 2, make_filter("daubechies", 2))
+    rows = wrm.rows([3, 1, 7])
+    lp = LinearProgram(rows, (">=", "<=", ">="), (1.0, 2.0, 3.0))
+    assert lp.coeffs is rows  # goal rows are stored without a second copy
+    mutable = np.ones((2, 3))
+    view = mutable.view()
+    view.setflags(write=False)
+    for source in (mutable, view):
+        lp = LinearProgram(source, ("<=", "<="), (0.0, 0.0))
+        assert not lp.coeffs.flags.writeable and not np.shares_memory(lp.coeffs, mutable)
+    mutable[0, 0] = 5.0
+    assert lp.coeffs[0, 0] == 1.0
 
 
 def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
@@ -203,23 +211,23 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
     n = int(rng.integers(1, 7))
     anchor = rng.uniform(-3.0, 3.0, size=n)
     zero_columns = rng.random(n) < 0.3
-    rows = []
+    rows, relations, limits = [], [], []
     for _ in range(int(rng.integers(0, 8))):
         zeros = zero_columns | (rng.random(n) < 0.2)
         coeffs = np.where(zeros, np.copysign(0.0, rng.uniform(-1.0, 1.0, size=n)), rng.uniform(-5.0, 5.0, size=n))
         relation = RELATIONS[int(rng.integers(0, 3))]
         margin = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * float(rng.uniform(0.0, 3.0))
         choices = (float(coeffs @ anchor) + margin, float(rng.uniform(-6.0, 6.0)), 0.0, -0.0)
-        rows.append(Constraint(coeffs, relation, choices[int(rng.choice(4, p=(0.6, 0.2, 0.1, 0.1)))]))
+        rows.append(coeffs)
+        relations.append(relation)
+        limits.append(choices[int(rng.choice(4, p=(0.6, 0.2, 0.1, 0.1)))])
     costs = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-5.0, 5.0, size=n))
     objective = Objective(costs, ("maximize", "minimize")[int(rng.integers(0, 2))])
     bounds = None
     if rng.random() < 0.4:
         bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
-    lp = LinearProgram(num_vars=n, rows=tuple(rows), objective=objective, bounds=bounds)
-    in_rows = np.zeros(n, dtype=bool)
-    for row in lp.all_rows():
-        in_rows |= row.coeffs != 0.0
+    lp = LinearProgram(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
+    in_rows = np.any(lp.with_bounds()[0] != 0.0, axis=0)
     return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
 
 
@@ -260,12 +268,27 @@ def test_touched_columns_match_full_width_tableau():
         if mode == "optimize" and has_cost_only_column:
             assert status in ("unbounded", "infeasible")
             cost_only += status == "unbounded"
-        no_rows += not lp.all_rows()
-        zero_column += bool(lp.rows) and not np.all(np.any([row.coeffs != 0.0 for row in lp.rows], axis=0))
-        equality += any(row.relation == "=" for row in lp.rows)
-        signed_zero_rhs += any(np.signbit(row.rhs) and row.rhs == 0.0 for row in lp.rows)
-        negative_rhs += any(row.rhs < 0.0 for row in lp.rows)
+        no_rows += lp.with_bounds()[2].size == 0
+        zero_column += lp.rhs.size > 0 and not np.all(np.any(lp.coeffs != 0.0, axis=0))
+        equality += "=" in lp.relations
+        signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
+        negative_rhs += bool(np.any(lp.rhs < 0.0))
     assert min(seen.values()) >= 100, seen
     assert min(cost_only, no_rows, zero_column, equality, signed_zero_rhs, negative_rhs) >= 50
     for lp in signal_wide_goal_lps(6):
         assert assert_same_solution(lp, "feasibility") == "feasible"
+
+
+def test_max_violation_matches_row_loop():
+    """One matrix-vector product sums rows in another order: agreement to a few ulp of the row's terms."""
+    rng = np.random.default_rng(77)
+    checked = 0
+    for _ in range(400):
+        lp, _mode, _cost_only = random_lp_with_gaps(rng)
+        x = rng.uniform(-12.0, 12.0, size=lp.num_vars)
+        coeffs, _relations, rhs = lp.with_bounds()
+        scale = float(np.max(np.abs(coeffs) @ np.abs(x) + np.abs(rhs), initial=1.0))
+        tol = 4 * lp.num_vars * np.finfo(np.float64).eps * scale
+        assert abs(max_violation(lp, x) - max_violation_loop(lp, x)) <= tol
+        checked += rhs.size > 0
+    assert checked >= 300

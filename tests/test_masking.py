@@ -112,22 +112,22 @@ def test_build_constraints_worked_example_layout():
     dec, wrm, grid = worked_parts()
     lp = build_constraints(wrm, grid, WORKED_GOALS)
     assert lp.num_vars == 4
-    assert len(lp.rows) == 12
+    assert lp.coeffs.shape == (12, 4) and len(lp.relations) == 12 and lp.rhs.shape == (12,)
     expected = [(i, "<=") if i in LOWER_POSITIONS else (i, ">=") for i in sorted(LOWER_POSITIONS + RAISE_POSITIONS)]
-    for row, (index, relation) in zip(lp.rows, expected):
-        assert row.relation == relation
-        assert np.allclose(row.coeffs, wrm.row(index), atol=0)
-        assert abs(row.rhs - grid[index - 1]) < 1e-12
+    for coeffs, rel, rhs, (index, relation) in zip(lp.coeffs, lp.relations, lp.rhs, expected):
+        assert rel == relation
+        assert np.allclose(coeffs, wrm.rows([index])[0], atol=0)
+        assert abs(rhs - grid[index - 1]) < 1e-12
 
 
 def test_build_constraints_haar_raise():
     wrm = build_wrm(4, 1, HAAR)
     grid = wrm.entries @ np.array([10.0, 20.0])
     lp = build_constraints(wrm, grid, GoalSpec(by_index={1: Goal(kind="raise")}))
-    assert len(lp.rows) == 1
-    assert lp.rows[0].relation == ">="
-    assert np.allclose(lp.rows[0].coeffs, [1 / np.sqrt(2.0), 0.0], atol=1e-12)
-    assert abs(lp.rows[0].rhs - grid[0]) < 1e-12
+    assert lp.coeffs.shape == (1, 2)
+    assert lp.relations == (">=",)
+    assert np.allclose(lp.coeffs[0], [1 / np.sqrt(2.0), 0.0], atol=1e-12)
+    assert abs(lp.rhs[0] - grid[0]) < 1e-12
 
 
 def test_build_constraints_bound_rows():
@@ -135,7 +135,7 @@ def test_build_constraints_bound_rows():
     grid = wrm.entries @ np.array([1.0, 1.0])
     spec = GoalSpec(by_index={2: Goal(kind="bound", lower=0.0, upper=5.0), 3: Goal(kind="bound", upper=2.0)})
     lp = build_constraints(wrm, grid, spec)
-    assert [(r.relation, r.rhs) for r in lp.rows] == [(">=", 0.0), ("<=", 5.0), ("<=", 2.0)]
+    assert list(zip(lp.relations, lp.rhs.tolist())) == [(">=", 0.0), ("<=", 5.0), ("<=", 2.0)]
 
 
 def test_build_constraints_rejects_all_free():
@@ -392,3 +392,11 @@ def test_config_validation():
             lp_mode="optimize",
             objective=Objective(np.ones(4), "minimize"),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_override_is_a_configuration_error(bad):
+    # a nan once slipped past the override check and failed in rounding
+    with pytest.raises(ConfigurationError, match="finite"):
+        MaskingConfig(goals=WORKED_GOALS, override_coeffs=(bad, 0.0, 0.0, 0.0))
+    assert MaskingConfig(goals=WORKED_GOALS, override_coeffs=(1, 2.5)).override_coeffs == (1.0, 2.5)

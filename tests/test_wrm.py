@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import gather_rows
 from refdata import MREC_3DP
 from wavemask.errors import ShapeError
 from wavemask.wavelet import make_filter, reconstruct_component
@@ -42,7 +43,7 @@ def test_columns_are_unit_reconstructions(length, level, filters):
     coeffs = np.random.default_rng(length + level).normal(size=(3, units.shape[0]))
     for c in coeffs:
         assert np.allclose(wrm.apply(c), columns @ c, rtol=0, atol=1e-12)
-    rows = np.stack([wrm.row(i) for i in range(1, length + 1)])
+    rows = np.stack([wrm.rows([i])[0] for i in range(1, length + 1)])
     assert np.allclose(rows, columns, rtol=0, atol=1e-12)
 
 
@@ -73,12 +74,33 @@ def test_apply_agrees_with_iterative_reconstruction():
 
 def test_row_accessor_is_one_based():
     wrm = build_wrm(16, 2, D4)
-    assert np.allclose(wrm.row(1), wrm.entries[0], atol=0)
-    assert np.allclose(wrm.row(16), wrm.entries[15], atol=0)
+    assert np.allclose(wrm.rows([1, 16]), wrm.entries[[0, 15]], atol=0)
+    assert not wrm.rows([1]).flags.writeable
     with pytest.raises(ShapeError):
-        wrm.row(0)
+        wrm.rows([0])
     with pytest.raises(ShapeError):
-        wrm.row(17)
+        wrm.rows([3, 17])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_rows_match_modulo_gather_bitwise(order):
+    """Stacked rows equal impulse[(i - 1 - j * 2**level) mod m] to the bit, in any position order."""
+    filters = make_filter("daubechies", order)
+    rng = np.random.default_rng(order)
+    cases = 0
+    for level in range(1, 7):
+        for length in sorted({2 << level, 3 << level, 5 << level, 16 << level, 4096}):
+            wrm = build_wrm(length, level, filters)
+            for chunk in np.array_split(np.arange(1, length + 1), -(-length // 256)):
+                assert wrm.rows(chunk).tobytes() == gather_rows(wrm, chunk).tobytes()
+            positions = rng.integers(1, length + 1, size=min(length, 128))
+            positions = np.append(positions, positions[::3])  # unsorted, with repeats
+            assert wrm.rows(positions).tobytes() == gather_rows(wrm, positions).tobytes()
+            for outside in (0, length + 1):
+                with pytest.raises(ShapeError):
+                    wrm.rows(np.append(positions, outside))
+            cases += 1
+    assert cases == 30
 
 
 def test_shape_errors():
