@@ -1,12 +1,30 @@
-"""Dense two-phase primal simplex for the goal systems built here.
+"""Two-phase primal simplex over independent row blocks, for the goal systems built here.
 
-A system is one coefficient matrix plus a relation and a rhs per row, with
-a free variable per column (an approximation coefficient): e.g. 256 goal rows
-by 512 columns.  The tableau spans only the columns that some row (or, when
-optimizing, the objective) touches; the others come back as 0.  Steps are
-vectorized, yet robustness and determinism come first: Bland's rule for
-anti-cycling, free variables split into positive parts, explicit tableau
-arithmetic in float64.  Infeasibility and unboundedness are statuses.
+A system is a coefficient matrix with a relation and a rhs per row and a free
+variable per column, e.g. 256 goal rows by 512 approximation coefficients.
+Bland's rule, free variables split into positive parts, float64 arithmetic;
+untouched columns come back as 0; infeasible and unbounded are statuses.
+
+Rows sharing a touched column, directly or through other rows, form a block;
+a goal LP has many small ones.  Their tableaux (rows in row order; x+, x-,
+slack and artificial columns in global order) are zero-padded into one
+(blocks, rows + 1, columns + 1) array, and each round every block with an
+improving column makes its own Bland pivot, so Python loops as often as the
+longest block pivots.  This is sequential Bland's rule on one tableau, bit
+for bit: a pivot row is zero outside its block and a pivot only updates rows
+with a non-zero pivot-column entry f (``row -= f * pivot_row``), so each
+block takes the global tableau's pivots with the same arithmetic, and local
+columns keep the global order for entering and for exact ratio ties (lowest
+basic index).  Two couplings between blocks are replayed:
+
+- Global Bland enters the smallest head among the blocks.  A stable sort of
+  all pivots by the running maximum of their block's entering columns gives
+  that interleaving.  The phase-1 residual compared with FEAS_TOL is summed
+  in it: every row's rhs in row order, then each pivot's ``f * pivot_rhs``.
+- Global Bland stops at the first entering column with no entry above
+  PIVOT_TOL.  Phase 1 ignores that "unbounded" and goes on from where it
+  stopped, so phase 1 is rerun with each block capped at its pivots before
+  that moment.  In phase 2 a stuck block means "unbounded".
 """
 
 from __future__ import annotations
@@ -92,6 +110,7 @@ class LpSolution:
     status: str  # feasible | optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective_value: float | None = None
+    pivots: int = 0  # phase 1, artificials driven out, phase 2: as one global Bland tableau makes them
 
 
 def max_violation(lp: LinearProgram, x) -> float:
@@ -103,97 +122,155 @@ def max_violation(lp: LinearProgram, x) -> float:
     return float(np.max(gap, initial=0.0))
 
 
-class _Tableau:
-    """Mutable simplex tableau; bottom row holds reduced costs for maximization."""
+def _components(rows: np.ndarray, cols: np.ndarray, nr: int, width: int) -> np.ndarray:
+    """Component root of each row, then each column: min-label hooking, then pointer jumping."""
+    parent = np.arange(nr + width)
+    while not np.array_equal(pu := parent[rows], pv := parent[nr + cols]):
+        apart = pu != pv
+        np.minimum.at(parent, np.maximum(pu, pv)[apart], np.minimum(pu, pv)[apart])
+        while not np.array_equal(parent, jumped := parent[parent]):
+            parent = jumped
+    return parent
 
-    def __init__(self, body: np.ndarray, basis: list[int]):
-        self.t = body  # (rows+1) x (cols+1), last column rhs, last row costs
-        self.basis = basis
 
-    @property
-    def ncols(self) -> int:
-        return self.t.shape[1] - 1
+def _rank(group: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Each item's position among the earlier items of its group, and the largest group size."""
+    sizes = np.bincount(group, minlength=count)
+    rank = np.empty(group.size, dtype=np.intp)
+    rank[np.argsort(group, kind="stable")] = np.arange(group.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return rank, int(sizes.max(initial=0))
 
-    def pivot(self, row: int, col: int) -> None:
-        t = self.t
-        t[row] /= t[row, col]
-        others = np.flatnonzero(t[:, col])
-        others = others[others != row]
-        t[others] -= t[others, col][:, None] * t[row]
-        self.basis[row] = col
+
+def _replay(events: list, blocks: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each block's pivots before the first stuck event in global Bland order, their products in it, any stuck."""
+    if not events:
+        return np.zeros(blocks, dtype=np.intp), np.zeros(0), False
+    block, key, product = (np.concatenate(part) for part in list(zip(*events))[:3])
+    stuck = np.repeat([event[3] for event in events], [event[0].size for event in events])
+    order = np.argsort(block, kind="stable")  # each block's events, in round order
+    offset = block[order] * (int(key.max()) + 1)
+    order = order[np.argsort(np.maximum.accumulate(key[order] + offset) - offset, kind="stable")]
+    stops = np.flatnonzero(stuck[order])
+    order = order[: stops[0]] if stops.size else order
+    return np.bincount(block[order], minlength=blocks), product[order], bool(stops.size)
+
+
+class _Blocks:
+    """Phase-1 tableaux of the blocks of the rows' non-zero (row, column, value) entries, zero-padded.
+
+    ``t[b]``: x+ at [0, width), x- at [width, 2 width), slacks, artificials
+    from ``art_at``, rhs; cost row last.  ``basis`` holds each row's basic
+    local column (-1: no row), ``keys`` each local column's global order.
+    """
+
+    def __init__(self, entries: tuple, ncols: int, relations: tuple[str, ...], rhs: np.ndarray):
+        rows, position, values = entries
+        nr = rhs.size
+        parent = _components(rows, position, nr, ncols)
+        roots, block = np.unique(parent, return_inverse=True)
+        nb, row_block, self.col_block = roots.size, block[:nr], block[nr:]
+        row_local, height = _rank(row_block, nb)
+        self.col_local, self.width = _rank(self.col_block, nb)
+        relation = np.array(relations, dtype=str)
+        slack = relation != "="
+        slack_local, slacks = _rank(row_block[slack], nb)
+        slack_col = 2 * self.width + slack_local
+        self.art_at = art_at = 2 * self.width + slacks
+        self.keys = np.zeros((nb, art_at + height), dtype=np.intp)
+        self.keys[self.col_block, self.col_local] = np.arange(ncols)
+        self.keys[self.col_block, self.width + self.col_local] = ncols + np.arange(ncols)
+        self.keys[row_block[slack], slack_col] = 2 * ncols + np.flatnonzero(slack)
+        self.keys[row_block, art_at + row_local] = 2 * ncols + nr + np.arange(nr)
+
+        flip = rhs < 0.0  # such a row is negated, and its relation reverses
+        self.rhs = np.where(flip, -rhs, rhs)
+        self.t = np.zeros((nb, height + 1, art_at + height + 1))
+        self.t[row_block[rows], row_local[rows], self.col_local[position]] = values * np.where(flip, -1.0, 1.0)[rows]
+        self.t[:, :, self.width : 2 * self.width] = -self.t[:, :, : self.width]
+        self.t[row_block[slack], row_local[slack], slack_col] = np.where(((relation == "<=") != flip)[slack], 1.0, -1.0)
+        self.t[row_block, row_local, art_at + row_local] = 1.0
+        self.t[row_block, row_local, -1] = self.rhs
+        self.basis = np.full((nb, height), -1)
+        self.basis[row_block, row_local] = art_at + row_local
+        self.set_objective(np.where(self.keys >= 2 * ncols + nr, -1.0, 0.0))
 
     def set_objective(self, costs: np.ndarray) -> None:
-        # Maximize costs . x: bottom row starts at -costs, then basic
-        # columns are eliminated so their reduced costs return to zero.
-        self.t[-1, :] = 0.0
-        self.t[-1, : self.ncols] = -costs
-        for r, b in enumerate(self.basis):
-            cb = costs[b]
-            if cb != 0.0:
-                self.t[-1] += cb * self.t[r]
+        """Cost row of maximizing costs . x: -costs, then cb * row for each row with cb != 0, in row order."""
+        cb = np.take_along_axis(np.pad(costs, ((0, 0), (0, 1))), self.basis, axis=1)
+        bottom = self.t[:, -1]
+        bottom[:] = 0.0
+        bottom[:, :-1] = -costs
+        for row in range(cb.shape[1]):
+            np.add(bottom, cb[:, row, None] * self.t[:, row], out=bottom, where=cb[:, row, None] != 0.0)
 
-    def run(self) -> str:
-        """Bland's rule simplex; returns "optimal" or "unbounded"."""
-        t = self.t
-        for _ in range(10_000 * (len(self.basis) + self.ncols + 1)):
-            improving = np.flatnonzero(t[-1, :-1] < -PIVOT_TOL)
-            if improving.size == 0:
-                return "optimal"
-            entering = int(improving[0])
-            column = t[:-1, entering]
-            rows = np.flatnonzero(column > PIVOT_TOL)
-            if rows.size == 0:
-                return "unbounded"
-            ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
+    def run(self, width: int, caps: np.ndarray | None = None) -> list:
+        """Rounds of Bland's rule entering among the first ``width`` columns.
+
+        Each round, every block with an improving column pivots once, unless
+        it has made ``caps[b]`` pivots or got stuck (no entry above PIVOT_TOL
+        in its entering column).  Returns the events: (blocks, entering keys,
+        cost-row products, stuck) per round.
+        """
+        t, basis, events = self.t, self.basis, []
+        left = np.full(len(t), np.iinfo(np.intp).max) if caps is None else caps.copy()
+        for _ in range(10_000 * sum(t.shape)):
+            improving = t[:, -1, :width] < -PIVOT_TOL
+            live = np.flatnonzero(improving.any(axis=1) & (left > 0))
+            if live.size == 0:
+                return events
+            entering = improving[live].argmax(axis=1)
+            column = t[live, :, entering]
+            positive = column[:, :-1] > PIVOT_TOL
+            if not (found := positive.any(axis=1)).all():
+                left[live[~found]] = 0
+                events.append((live[~found], self.keys[live[~found], entering[~found]], np.zeros(np.sum(~found)), True))
+                live, entering, column, positive = live[found], entering[found], column[found], positive[found]
+                if live.size == 0:
+                    continue
+            lanes = np.arange(live.size)
+            ratios = np.full(positive.shape, np.inf)
+            np.divide(np.maximum(t[live, :-1, -1], 0.0), column[:, :-1], out=ratios, where=positive)
             # exact ratio ties go to the lowest basic index
-            leaving = int(min(rows[ratios == ratios.min()], key=self.basis.__getitem__))
-            self.pivot(leaving, entering)
+            leaving = np.lexsort((np.where(positive, basis[live], t.shape[2]), ratios), axis=1)[:, 0]
+            pivot_row = t[live, leaving] / column[lanes, leaving][:, None]
+            column[lanes, leaving] = 0.0  # the pivot row is not updated by itself
+            lane, row = np.divmod(np.flatnonzero(column), column.shape[1])
+            t[live[lane], row] -= column[lane, row, None] * pivot_row[lane]
+            t[live, leaving], basis[live, leaving] = pivot_row, entering
+            left[live] -= 1
+            events.append((live, self.keys[live, entering], column[:, -1] * pivot_row[:, -1], False))
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
 
+    def drop_artificials(self) -> int:
+        """Pivot basic artificials out in row order, or drop their redundant rows; returns the pivots made.
 
-def _build_phase1(coeffs: np.ndarray, relations: tuple[str, ...], rhs: np.ndarray, columns: np.ndarray):
-    """Standard-form tableau over the given columns: split parts, slacks, artificials."""
-    nr, width = rhs.size, columns.size
-    split = 2 * width
-    flip = rhs < 0.0  # such a row is negated, and its relation reverses
-    relation = np.array(relations, dtype=str)
-    slack_rows = np.flatnonzero(relation != "=")
-    art_at = split + slack_rows.size
-    t = np.zeros((nr + 1, art_at + nr + 1))
-    sign = np.where(flip, -1.0, 1.0)
-    np.multiply(coeffs[:, columns], sign[:, None], out=t[:nr, :width])
-    np.negative(t[:nr, :width], out=t[:nr, width:split])
-    at_most = (relation == "<=") != flip
-    t[slack_rows, split + np.arange(slack_rows.size)] = np.where(at_most[slack_rows], 1.0, -1.0)
-    t[np.arange(nr), art_at + np.arange(nr)] = 1.0
-    t[:nr, -1] = np.where(flip, -rhs, rhs)
-    return _Tableau(t, list(range(art_at, art_at + nr))), split, art_at
+        Artificial columns stay in the tableau; phase 2 never enters them.
+        """
+        made = 0
+        for block, row in zip(*np.nonzero(self.basis >= self.art_at)):
+            t = self.t[block]
+            # a basic artificial sits within FEAS_TOL of zero here; snap it to
+            # exactly zero so a small pivot element cannot inflate the residue
+            t[row, -1] = 0.0
+            candidates = np.flatnonzero(np.abs(t[row, : self.art_at]) > PIVOT_TOL)
+            if candidates.size:
+                col = self.basis[block, row] = candidates[0]
+                t[row] /= t[row, col]
+                others = np.flatnonzero(t[:, col])
+                others = others[others != row]
+                t[others] -= t[others, col][:, None] * t[row]
+                made += 1
+            else:  # the row is redundant (all-zero over real columns)
+                t[row] = 0.0
+                self.basis[block, row] = -1
+        return made
 
-
-def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
-    """Pivot basic artificials out (or drop their redundant rows), then cut columns."""
-    keep_rows = []
-    for i in range(len(tab.basis)):
-        if tab.basis[i] < art_at:
-            keep_rows.append(i)
-            continue
-        # a basic artificial sits within FEAS_TOL of zero here; snap it to
-        # exactly zero so a small pivot element cannot inflate the residue
-        tab.t[i, -1] = 0.0
-        candidates = np.flatnonzero(np.abs(tab.t[i, :art_at]) > PIVOT_TOL)
-        if candidates.size:
-            tab.pivot(i, int(candidates[0]))
-            keep_rows.append(i)
-        # else: row is redundant (all-zero over real columns) and is dropped
-    body = tab.t[np.array(keep_rows + [-1], dtype=int)][:, list(range(art_at)) + [-1]]
-    basis = [tab.basis[i] for i in keep_rows]
-    return _Tableau(np.ascontiguousarray(body), basis)
-
-
-def _extract(tab: _Tableau, num_vars: int) -> np.ndarray:
-    full = np.zeros(tab.ncols)
-    full[tab.basis] = tab.t[:-1, -1]
-    return full[:num_vars] - full[num_vars : 2 * num_vars]
+    def extract(self) -> np.ndarray:
+        """x over the columns: x+ minus x- where basic, 0 elsewhere."""
+        full = np.zeros((self.t.shape[0], self.art_at))
+        block, row = np.nonzero(self.basis >= 0)
+        full[block, self.basis[block, row]] = self.t[block, row, -1]
+        return full[self.col_block, self.col_local] - full[self.col_block, self.width + self.col_local]
 
 
 def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
@@ -207,34 +284,38 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
         raise ConfigurationError("optimize mode requires an objective")
 
     coeffs, relations, rhs = lp.with_bounds()
+    rows, cols = np.divmod(np.flatnonzero(coeffs != 0.0), lp.num_vars)
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.
-    touched = np.any(coeffs != 0.0, axis=0)
+    touched = np.zeros(lp.num_vars, dtype=bool)
+    touched[cols] = True
     if mode == "optimize":
         touched |= lp.objective.coeffs != 0.0
     columns = np.flatnonzero(touched)
-    tab, split, art_at = _build_phase1(coeffs, relations, rhs, columns)
-
-    phase1_cost = np.zeros(tab.ncols)
-    phase1_cost[art_at:] = -1.0
-    tab.set_objective(phase1_cost)
-    tab.run()
-    if tab.t[-1, -1] < -FEAS_TOL:
-        return LpSolution(status="infeasible")
-    tab = _drop_artificials(tab, art_at)
+    entries = (rows, np.searchsorted(columns, cols), coeffs[rows, cols])
+    blocks = _Blocks(entries, columns.size, relations, rhs)
+    caps, products, stopped = _replay(blocks.run(blocks.t.shape[2] - 1), len(blocks.t))
+    if stopped:  # global Bland stopped there: rerun phase 1 up to that moment
+        blocks = _Blocks(entries, columns.size, relations, rhs)
+        blocks.run(blocks.t.shape[2] - 1, caps)
+    pivots = int(caps.sum())
+    if np.cumsum(np.concatenate(([0.0], -blocks.rhs, -products)))[-1] < -FEAS_TOL:
+        return LpSolution(status="infeasible", pivots=pivots)
+    pivots += blocks.drop_artificials()
 
     x = np.zeros(lp.num_vars)
     if mode == "feasibility":
-        x[columns] = _extract(tab, columns.size)
-        return LpSolution(status="feasible", x=x)
+        x[columns] = blocks.extract()
+        return LpSolution(status="feasible", x=x, pivots=pivots)
 
     gain = (1.0 if lp.objective.sense == "maximize" else -1.0) * lp.objective.coeffs[columns]
-    costs = np.zeros(tab.ncols)
-    costs[:split] = np.concatenate((gain, -gain))
-    tab.set_objective(costs)
-    status = tab.run()
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-    x[columns] = _extract(tab, columns.size)
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
+    costs = np.zeros(blocks.t[:, -1, :-1].shape)
+    costs[blocks.col_block, blocks.col_local] = gain
+    costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
+    blocks.set_objective(costs)
+    made, _products, stuck = _replay(blocks.run(blocks.art_at), len(blocks.t))
+    if stuck:
+        return LpSolution(status="unbounded", pivots=pivots + int(made.sum()))
+    x[columns] = blocks.extract()
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots + int(made.sum()))

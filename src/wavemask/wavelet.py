@@ -152,13 +152,27 @@ def analysis_step(values, filt) -> np.ndarray:
 
 
 def synthesis_step(coeffs, filt) -> np.ndarray:
-    """Adjoint of analysis_step: length M/2 up to M, same filter."""
+    """Adjoint of analysis_step: length M/2 up to M, same filter.
+
+    Output n sums c[i] * f[j] over (2i - 1 + j) mod M = n in (i, j) order, as
+    np.add.at would: one strided add per tap, j descending, then the outputs a
+    wrapping i reaches are summed again.
+    """
     c = np.asarray(coeffs, dtype=np.float64)
     f = np.asarray(filt, dtype=np.float64)
-    m = 2 * c.size
-    out = np.zeros(m)
-    idx = _analysis_index(c.size, f.size, m)
-    np.add.at(out, idx, f[None, :] * c[:, None])
+    half, taps = c.size, f.size
+    products = f[None, :] * c[:, None]
+    out = np.zeros(2 * half)
+    for j in reversed(range(taps)):
+        lands = out[(j - 1) % 2 :: 2]  # product i lands on lands[(i + shift) mod half]
+        shift = (j - 1) // 2 % half
+        lands[shift:] += products[: half - shift, j]
+        lands[:shift] += products[half - shift :, j]
+    for n in {*range(min(taps - 3, out.size)), out.size - 1}:
+        total = 0.0
+        for i, j in sorted(((n + 1 - j) // 2 % half, j) for j in range((n + 1) % 2, taps, 2)):
+            total += products[i, j]
+        out[n] = total
     return out
 
 

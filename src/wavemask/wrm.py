@@ -40,7 +40,10 @@ class ReconstructionMatrix:
         Row i is a window of the reversed, doubled polyphase component
         (i - 1) mod 2**level of the impulse, so no index array is built.
         """
-        index = np.asarray(positions, dtype=np.int64) - 1
+        index = np.asarray(positions)
+        if index.size and index.dtype.kind not in "iu":
+            raise ShapeError(f"row positions must be integers, got {index.dtype}")
+        index = index.astype(np.int64) - 1
         if np.any((index < 0) | (index >= self.length)):
             raise ShapeError(f"row positions must lie in 1..{self.length}")
         step, width = 1 << self.level, self.shape[1]

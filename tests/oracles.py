@@ -12,16 +12,7 @@ import random
 import numpy as np
 
 from wavemask.errors import MaskingError
-from wavemask.lp import (
-    FEAS_TOL,
-    LinearProgram,
-    LpSolution,
-    Objective,
-    _drop_artificials,
-    _extract,
-    _Tableau,
-    max_violation,
-)
+from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objective, max_violation
 from wavemask.masking import round_half_away
 from wavemask.microdata import MicrofileTable, Move
 
@@ -45,6 +36,25 @@ def decompose_dense(signal, lowpass, highpass, level: int):
         details.append(analysis_matrix(highpass, m) @ a)
         a = analysis_matrix(lowpass, m) @ a
     return a, details
+
+
+def synthesis_step_add_at(coeffs, filt) -> np.ndarray:
+    """One synthesis step by np.add.at over the analysis index, row-major over (coefficient, tap)."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    f = np.asarray(filt, dtype=np.float64)
+    m = 2 * c.size
+    out = np.zeros(m)
+    idx = (2 * np.arange(c.size)[:, None] - 1 + np.arange(f.size)[None, :]) % m
+    np.add.at(out, idx, f[None, :] * c[:, None])
+    return out
+
+
+def reconstruct_component_add_at(coeffs, kind: str, level: int, filters) -> np.ndarray:
+    """Band to signal length through ``synthesis_step_add_at``: the band's filter first, then lowpass."""
+    out = synthesis_step_add_at(coeffs, filters.lowpass if kind == "approx" else filters.highpass)
+    for _ in range(level - 1):
+        out = synthesis_step_add_at(out, filters.lowpass)
+    return out
 
 
 def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:
@@ -118,6 +128,89 @@ def max_violation_loop(lp: LinearProgram, x) -> float:
     return worst
 
 
+class _Tableau:
+    """Mutable simplex tableau; bottom row holds reduced costs for maximization.
+
+    Sequential Bland's rule, one pivot at a time over one tableau: the
+    reference for the block rounds of ``wavemask.lp``.  It counts its pivots
+    and the ratio tests that met an exact tie.
+    """
+
+    def __init__(self, body: np.ndarray, basis: list[int], pivots: int = 0):
+        self.t = body  # (rows+1) x (cols+1), last column rhs, last row costs
+        self.basis = basis
+        self.pivots = pivots
+        self.ties = 0
+
+    @property
+    def ncols(self) -> int:
+        return self.t.shape[1] - 1
+
+    def pivot(self, row: int, col: int) -> None:
+        t = self.t
+        t[row] /= t[row, col]
+        others = np.flatnonzero(t[:, col])
+        others = others[others != row]
+        t[others] -= t[others, col][:, None] * t[row]
+        self.basis[row] = col
+        self.pivots += 1
+
+    def set_objective(self, costs: np.ndarray) -> None:
+        # Maximize costs . x: bottom row starts at -costs, then basic
+        # columns are eliminated so their reduced costs return to zero.
+        self.t[-1, :] = 0.0
+        self.t[-1, : self.ncols] = -costs
+        for r, b in enumerate(self.basis):
+            cb = costs[b]
+            if cb != 0.0:
+                self.t[-1] += cb * self.t[r]
+
+    def run(self) -> str:
+        """Bland's rule simplex; returns "optimal" or "unbounded"."""
+        t = self.t
+        for _ in range(10_000 * (len(self.basis) + self.ncols + 1)):
+            improving = np.flatnonzero(t[-1, :-1] < -PIVOT_TOL)
+            if improving.size == 0:
+                return "optimal"
+            entering = int(improving[0])
+            column = t[:-1, entering]
+            rows = np.flatnonzero(column > PIVOT_TOL)
+            if rows.size == 0:
+                return "unbounded"
+            ratios = np.maximum(t[rows, -1], 0.0) / column[rows]
+            self.ties += int(np.count_nonzero(ratios == ratios.min()) > 1)
+            # exact ratio ties go to the lowest basic index
+            leaving = int(min(rows[ratios == ratios.min()], key=self.basis.__getitem__))
+            self.pivot(leaving, entering)
+        raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
+
+
+def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:
+    """Pivot basic artificials out (or drop their redundant rows), then cut columns."""
+    keep_rows = []
+    for i in range(len(tab.basis)):
+        if tab.basis[i] < art_at:
+            keep_rows.append(i)
+            continue
+        # a basic artificial sits within FEAS_TOL of zero here; snap it to
+        # exactly zero so a small pivot element cannot inflate the residue
+        tab.t[i, -1] = 0.0
+        candidates = np.flatnonzero(np.abs(tab.t[i, :art_at]) > PIVOT_TOL)
+        if candidates.size:
+            tab.pivot(i, int(candidates[0]))
+            keep_rows.append(i)
+        # else: row is redundant (all-zero over real columns) and is dropped
+    body = tab.t[np.array(keep_rows + [-1], dtype=int)][:, list(range(art_at)) + [-1]]
+    basis = [tab.basis[i] for i in keep_rows]
+    return _Tableau(np.ascontiguousarray(body), basis, tab.pivots)
+
+
+def _extract(tab: _Tableau, num_vars: int) -> np.ndarray:
+    full = np.zeros(tab.ncols)
+    full[tab.basis] = tab.t[:-1, -1]
+    return full[:num_vars] - full[num_vars : 2 * num_vars]
+
+
 def _build_phase1_full_width(system, num_vars: int):
     """Standard-form tableau with split variables, slacks and artificials.
 
@@ -152,24 +245,36 @@ def _build_phase1_full_width(system, num_vars: int):
     return _Tableau(t, basis), split, art_at
 
 
-def solve_full_width(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
-    """The simplex over every column, one tableau row laid out at a time.
+def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict | None = None) -> LpSolution:
+    """Sequential Bland's rule over every column, one tableau row laid out at a time.
 
-    ``wavemask.lp.solve`` drops the columns no row or cost touches; this
-    keeps them all, so the two must agree bit for bit.
+    ``wavemask.lp.solve`` drops the columns no row or cost touches and pivots
+    independent row blocks side by side; this keeps one tableau over every
+    column and makes one pivot at a time, so the two must agree bit for bit,
+    pivot count included.  ``counts``, when given, gains the run's pivots,
+    exact ratio ties and phase-1 early stops.
     """
     tab, split, art_at = _build_phase1_full_width(lp.with_bounds(), lp.num_vars)
+    ties = 0
+
+    def solution(**fields) -> LpSolution:
+        if counts is not None:
+            counts["pivots"] = counts.get("pivots", 0) + tab.pivots
+            counts["ties"] = counts.get("ties", 0) + ties + tab.ties
+        return LpSolution(pivots=tab.pivots, **fields)
 
     phase1_cost = np.zeros(tab.ncols)
     phase1_cost[art_at:] = -1.0
     tab.set_objective(phase1_cost)
-    tab.run()
+    if tab.run() == "unbounded" and counts is not None:  # phase 1 goes on from where it stopped
+        counts["phase1_stops"] = counts.get("phase1_stops", 0) + 1
     if tab.t[-1, -1] < -FEAS_TOL:
-        return LpSolution(status="infeasible")
+        return solution(status="infeasible")
+    ties = tab.ties
     tab = _drop_artificials(tab, art_at)
 
     if mode == "feasibility":
-        return LpSolution(status="feasible", x=_extract(tab, lp.num_vars))
+        return solution(status="feasible", x=_extract(tab, lp.num_vars))
 
     sense = lp.objective.sense
     costs = np.zeros(tab.ncols)
@@ -179,9 +284,9 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility") -> LpSolution
     tab.set_objective(costs)
     status = tab.run()
     if status == "unbounded":
-        return LpSolution(status="unbounded")
+        return solution(status="unbounded")
     x = _extract(tab, lp.num_vars)
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
+    return solution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
 
 
 def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:

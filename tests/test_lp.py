@@ -1,6 +1,7 @@
 """Two-phase simplex: statuses, feasibility guarantees, oracle agreement."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from oracles import max_violation_loop, random_lp, solve_full_width, vertex_optimum
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
-from wavemask.lp import RELATIONS, LinearProgram, Objective, max_violation, solve
+from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, Objective, max_violation, solve
 from wavemask.masking import GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
@@ -231,33 +232,34 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
     return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
 
 
-def signal_wide_goal_lps(count: int):
-    """Goal LPs that mask_signal builds for the benchmark's signal-wide inputs."""
+def goal_lps(workload: str, indices):
+    """Goal LPs that mask_signal builds for the benchmark's timed inputs of seed 1."""
     source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", source)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     filters = make_filter(*workloads.WAVELET)
-    for index in range(count):
-        inp = workloads.WORKLOADS["signal-wide"].make(1, workloads.STREAM_TIMED, index, None)
+    for index in indices:
+        inp = workloads.WORKLOADS[workload].make(1, workloads.STREAM_TIMED, index, None)
         q = np.asarray(inp["q"], dtype=np.float64)
         wrm = build_wrm(q.size, inp["level"], filters)
         base = wrm.apply(decompose(q, filters, inp["level"]).approx)
         yield build_constraints(wrm, base, GoalSpec.from_entries(inp["goals"]))
 
 
-def assert_same_solution(lp: LinearProgram, mode: str) -> str:
-    got, want = solve(lp, mode), solve_full_width(lp, mode)
+def assert_same_solution(lp: LinearProgram, mode: str, counts: dict | None = None) -> str:
+    got, want = solve(lp, mode), solve_full_width(lp, mode, counts)
     assert got.status == want.status
     assert (got.x is None) == (want.x is None)
     if got.x is not None:
         assert got.x.tobytes() == want.x.tobytes()
     assert got.objective_value == want.objective_value
+    assert got.pivots == want.pivots
     return got.status
 
 
 def test_touched_columns_match_full_width_tableau():
-    """Dropping untouched columns changes no status, no bit of x, no objective."""
+    """Dropping untouched columns changes no status, no bit of x, no objective, no pivot count."""
     rng = np.random.default_rng(606)
     seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
     cost_only = no_rows = zero_column = equality = signed_zero_rhs = negative_rhs = 0
@@ -275,8 +277,93 @@ def test_touched_columns_match_full_width_tableau():
         negative_rhs += bool(np.any(lp.rhs < 0.0))
     assert min(seen.values()) >= 100, seen
     assert min(cost_only, no_rows, zero_column, equality, signed_zero_rhs, negative_rhs) >= 50
-    for lp in signal_wide_goal_lps(6):
+    for lp in goal_lps("signal-wide", range(6)):
         assert assert_same_solution(lp, "feasibility") == "feasible"
+
+
+def trap(rng) -> LinearProgram:
+    """A one-column part aimed at sequential Bland's tolerance rules.
+
+    Either two rows whose entries lie in (PIVOT_TOL / 2, PIVOT_TOL]: phase 1
+    finds the column improving (its reduced cost sums both rows) but no
+    entry above PIVOT_TOL, so sequential Bland stops there.  Or one row
+    x >= 2**30: at that rhs one ulp exceeds FEAS_TOL, so the phase-1
+    verdict depends on the order in which the residual is summed.
+    """
+    objective = Objective([float(rng.uniform(-1.0, 1.0))], "maximize")
+    if rng.random() < 0.5:
+        return LinearProgram([[1.0]], (">=",), (2.0**30,), objective=objective)
+    tiny = float(rng.uniform(0.5, 1.0)) * PIVOT_TOL
+    rhs = (0.0, 1e-8, 1.0)[int(rng.integers(0, 3))]
+    return LinearProgram([[tiny], [tiny]], (">=", "="), (rhs, rhs), objective=objective)
+
+
+def stacked_lp(rng) -> tuple[LinearProgram, str]:
+    """2-12 ``random_lp_with_gaps`` programs laid block-diagonally, rows and columns shuffled.
+
+    About half the parts have their coefficients and rhs rounded to
+    integers, which makes exact ratio ties common.  So that every status is
+    common, a third of the cases take only parts that alone end feasible or
+    optimal, a third only parts that alone are not infeasible, and a third
+    any parts.  Two cases in five add a ``trap``.  Parts without
+    bounds leave their columns open when another part has bounds.
+    """
+    mode = ("feasibility", "optimize")[int(rng.integers(0, 2))]
+    sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
+    allowed = ({"feasible", "optimal"}, {"feasible", "optimal", "unbounded"}, None)[int(rng.integers(0, 3))]
+    parts = [trap(rng)] if rng.random() < 0.4 else []
+    while len(parts) < 2 or (len(parts) < 12 and rng.random() < 0.8):
+        part = random_lp_with_gaps(rng)[0]
+        part = replace(part, objective=Objective(part.objective.coeffs, sense))
+        if rng.random() < 0.5:
+            part = replace(part, coeffs=np.round(part.coeffs), rhs=np.round(part.rhs))
+        if allowed is None or solve_full_width(part, mode).status in allowed:
+            parts.append(part)
+    nrows = [part.rhs.size for part in parts]
+    ncols = [part.num_vars for part in parts]
+    coeffs = np.zeros((sum(nrows), sum(ncols)))
+    for part, r, c in zip(parts, np.cumsum(nrows) - nrows, np.cumsum(ncols) - ncols):
+        coeffs[r : r + part.rhs.size, c : c + part.num_vars] = part.coeffs
+    rhs = np.concatenate([part.rhs for part in parts])
+    relations = np.concatenate([np.array(part.relations, dtype=str) for part in parts])
+    costs = np.concatenate([part.objective.coeffs for part in parts])
+    bounds = [side for part in parts for side in (part.bounds or ((None, None),) * part.num_vars)]
+    rows, cols = rng.permutation(rhs.size), rng.permutation(costs.size)
+    lp = LinearProgram(
+        coeffs[rows][:, cols],
+        relations[rows].tolist(),
+        rhs[rows],
+        objective=Objective(costs[cols], sense),
+        bounds=None if all(part.bounds is None for part in parts) else tuple(bounds[j] for j in cols),
+    )
+    return lp, mode
+
+
+# Goals-dense timed ops of seed 1 (among ops 0-999) whose phase 1 stops at an
+# entering column with no entry above PIVOT_TOL.
+EARLY_STOP_OPS = (4, 90, 98, 117, 123, 161, 174, 196, 197, 206, 208, 304, 310, 378, 418, 445,
+                  463, 489, 631, 694, 704, 715, 720, 739, 753, 809, 830, 891, 897, 902, 960)
+
+
+def test_blocks_match_sequential_bland():
+    """Block-by-block rounds give sequential Bland's statuses, x bytes, objectives and pivot counts."""
+    rng = np.random.default_rng(1010)
+    seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
+    counts = {}
+    bounded = equality = signed_zero_rhs = 0
+    for _ in range(1000):
+        lp, mode = stacked_lp(rng)
+        seen[assert_same_solution(lp, mode, counts)] += 1
+        bounded += lp.bounds is not None
+        equality += "=" in lp.relations
+        signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
+    assert min(seen.values()) >= 100, seen
+    assert min(bounded, equality, signed_zero_rhs) >= 100
+    assert counts["ties"] >= 100 and counts["phase1_stops"] >= 10, counts
+    dense = {}
+    for lp in goal_lps("goals-dense", sorted(set(range(40)) | set(EARLY_STOP_OPS))):
+        assert_same_solution(lp, "feasibility", dense)
+    assert dense["phase1_stops"] == len(EARLY_STOP_OPS)
 
 
 def test_max_violation_matches_row_loop():

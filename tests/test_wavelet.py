@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import analysis_matrix, decompose_dense, random_lowpass
+from oracles import analysis_matrix, decompose_dense, random_lowpass, reconstruct_component_add_at, synthesis_step_add_at
 from refdata import A1_2DP, A2_3DP, Q16
 from wavemask.errors import ConfigurationError, DataError, ShapeError
 from wavemask.wavelet import (
@@ -209,6 +209,31 @@ def test_constant_capture():
         assert np.max(np.abs(d)) < 1e-12
     approx = reconstruct_component(dec.approx, "approx", 2, 16, filt)
     assert np.allclose(approx, x, atol=1e-11)
+
+
+def test_synthesis_step_matches_add_at_bitwise():
+    """Strided adds sum each output's taps in np.add.at's order, wrap included, for every even m up to 4096."""
+    rng = np.random.default_rng(41)
+    for order in (1, 2, 3):
+        filters = make_filter("daubechies", order)
+        for m in range(2, 4097, 2):
+            c = rng.normal(size=m // 2) * 10.0 ** rng.integers(-8, 9)
+            c[rng.random(c.size) < 0.1] = -0.0
+            for band in (filters.lowpass, filters.highpass):
+                assert synthesis_step(c, band).tobytes() == synthesis_step_add_at(c, band).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_reconstruction_matches_add_at_bitwise(order):
+    """decompose then reconstruct_component, per band, equals the np.add.at pyramid to the bit."""
+    filters = make_filter("daubechies", order)
+    rng = np.random.default_rng(order)
+    for length, level in ((2, 1), (4, 2), (6, 1), (8, 3), (16, 2), (64, 5), (96, 4), (2048, 2), (4096, 3), (4096, 12)):
+        dec = decompose(rng.lognormal(3.0, 1.5, length).round(), filters, level)
+        bands = [("approx", level, dec.approx)] + [("detail", j + 1, d) for j, d in enumerate(dec.details)]
+        for kind, band_level, coeffs in bands:
+            got = reconstruct_component(coeffs, kind, band_level, length, filters)
+            assert got.tobytes() == reconstruct_component_add_at(coeffs, kind, band_level, filters).tobytes()
 
 
 def test_reconstruct_signal_drops_zeroed_details():

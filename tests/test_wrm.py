@@ -82,6 +82,16 @@ def test_row_accessor_is_one_based():
         wrm.rows([3, 17])
 
 
+def test_row_positions_must_be_integers():
+    wrm = build_wrm(16, 2, HAAR)
+    for positions in ([1.5], [2.0], np.array([1.0, 3.0]), [True], np.array([True, False]), [1, 2.5]):
+        with pytest.raises(ShapeError, match="integers"):
+            wrm.rows(positions)
+    assert wrm.rows(np.array([3, 1], dtype=np.int32)).tobytes() == wrm.rows([3, 1]).tobytes()
+    assert wrm.rows(np.array([16], dtype=np.uint8)).tobytes() == wrm.rows((16,)).tobytes()
+    assert wrm.rows([]).shape == (0, 4)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_rows_match_modulo_gather_bitwise(order):
     """Stacked rows equal impulse[(i - 1 - j * 2**level) mod m] to the bit, in any position order."""
