@@ -25,6 +25,22 @@ basic index).  Two couplings between blocks are replayed:
   PIVOT_TOL.  Phase 1 ignores that "unbounded" and goes on from where it
   stopped, so phase 1 is rerun with each block capped at its pivots before
   that moment.  In phase 2 a stuck block means "unbounded".
+
+The phase-1 cost row needs no pass over the rows.  At phase-1 start every
+real row's basic variable is its artificial, at cost -1, so sequential
+Bland's row is -costs plus (-1) * t[r] for each real row r in row order
+(padded rows cost 0), and x + (-1 * v) is x - v exactly.  So it is -costs
+minus each row's x+ values, their negations in x-, its slack and its rhs,
+taken in row order by one ``np.subtract.at`` (which applies its terms in
+index order): every non-zero entry has the same bits.  An artificial's
+entry, +1 less its own row's 1, is exactly 0 and is left out.  A zero entry
+of a row adds +-0, which only flips the sign of a zero cost entry, and no
+output reads that: the cost row is read only by ``< -PIVOT_TOL`` tests and
+``f * pivot_row`` updates, the phase-1 residual is replayed separately, and
+phase 2 rebuilds the row from scratch (``set_objective``).  The x- entries
+are written one by one too, so a zero there is +0 where negating all of x+
+would give -0; no output reads the sign of a zero tableau entry (a zero
+``f`` updates nothing, and ``x`` comes from the rhs column alone).
 """
 
 from __future__ import annotations
@@ -158,9 +174,10 @@ def _replay(events: list, blocks: int) -> tuple[np.ndarray, np.ndarray, bool]:
 class _Blocks:
     """Phase-1 tableaux of the blocks of the rows' non-zero (row, column, value) entries, zero-padded.
 
-    ``t[b]``: x+ at [0, width), x- at [width, 2 width), slacks, artificials
-    from ``art_at``, rhs; cost row last.  ``basis`` holds each row's basic
-    local column (-1: no row), ``keys`` each local column's global order.
+    The entries come in row-major order.  ``t[b]``: x+ at [0, width), x- at
+    [width, 2 width), slacks, artificials from ``art_at``, rhs; cost row
+    last.  ``basis`` holds each row's basic local column (-1: no row),
+    ``keys`` each local column's global order.
     """
 
     def __init__(self, entries: tuple, ncols: int, relations: tuple[str, ...], rhs: np.ndarray):
@@ -184,18 +201,24 @@ class _Blocks:
 
         flip = rhs < 0.0  # such a row is negated, and its relation reverses
         self.rhs = np.where(flip, -rhs, rhs)
+        x_plus, column = values * np.where(flip, -1.0, 1.0)[rows], self.col_local[position]
+        slack_sign = np.where(((relation == "<=") != flip)[slack], 1.0, -1.0)
         self.t = np.zeros((nb, height + 1, art_at + height + 1))
-        self.t[row_block[rows], row_local[rows], self.col_local[position]] = values * np.where(flip, -1.0, 1.0)[rows]
-        self.t[:, :, self.width : 2 * self.width] = -self.t[:, :, : self.width]
-        self.t[row_block[slack], row_local[slack], slack_col] = np.where(((relation == "<=") != flip)[slack], 1.0, -1.0)
+        self.t[row_block[rows], row_local[rows], column] = x_plus
+        self.t[row_block[rows], row_local[rows], self.width + column] = -x_plus
+        self.t[row_block[slack], row_local[slack], slack_col] = slack_sign
         self.t[row_block, row_local, art_at + row_local] = 1.0
         self.t[row_block, row_local, -1] = self.rhs
         self.basis = np.full((nb, height), -1)
         self.basis[row_block, row_local] = art_at + row_local
-        self.set_objective(np.where(self.keys >= 2 * ncols + nr, -1.0, 0.0))
+        # the phase-1 cost row: the same entries, subtracted in row order (see the module docstring)
+        block = np.concatenate((row_block[rows], row_block[rows], row_block[slack], row_block))
+        cost_column = np.concatenate((column, self.width + column, slack_col, np.full(nr, art_at + height)))
+        at = np.ravel_multi_index((block, np.full(block.size, height), cost_column), self.t.shape)
+        np.subtract.at(self.t.reshape(-1), at, np.concatenate((x_plus, -x_plus, slack_sign, self.rhs)))
 
     def set_objective(self, costs: np.ndarray) -> None:
-        """Cost row of maximizing costs . x: -costs, then cb * row for each row with cb != 0, in row order."""
+        """Phase-2 cost row of maximizing costs . x: -costs, then cb * row for each row with cb != 0, in row order."""
         cb = np.take_along_axis(np.pad(costs, ((0, 0), (0, 1))), self.basis, axis=1)
         bottom = self.t[:, -1]
         bottom[:] = 0.0

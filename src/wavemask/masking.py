@@ -6,6 +6,11 @@ feasibility by default, or a caller-supplied override vector), reassemble with
 the original detail bands, shift to non-negativity, rescale so the total is
 preserved, and round back to integers.
 
+Goals become rows through one table per goal set (``GoalSpec.table``, built
+on first use): the non-free positions in order and, per limit row, its goal,
+its relation and its fixed limit, NaN standing for "the current value".
+``build_constraints`` and ``evaluate_goals`` both read it.
+
 The detail bands are carried over untouched, so after the final rescale every
 detail coefficient of the masked signal equals the original one times the
 scale factor: the redistribution only ever touches the approximation.
@@ -17,6 +22,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,7 @@ GOAL_TOL = 1e-7
 OVERRIDE_SLACK = 1.0
 
 GOAL_KINDS = ("raise", "lower", "free", "bound")
+GOAL_KEYS = ("index", "goal", "min", "max")
 
 
 def _finite(value) -> float | None:
@@ -76,6 +84,19 @@ class Goal:
             raise ConfigurationError(f"{self.kind} goal does not take min/max limits")
 
 
+class GoalTable(NamedTuple):
+    """The non-free goals in position order, then the limit rows they put on the approximation, in goal order."""
+
+    positions: np.ndarray  # per goal: 1-based, ascending
+    kinds: np.ndarray  # per goal
+    lowers: tuple  # per goal: Goal.lower
+    uppers: tuple  # per goal: Goal.upper
+    starts: np.ndarray  # per goal: its first row
+    goal: np.ndarray  # per row
+    at_least: np.ndarray  # per row: ">=", else "<="
+    fixed: np.ndarray  # per row: the limit, NaN for the current value
+
+
 @dataclass(frozen=True)
 class GoalSpec:
     """Goals keyed by 1-based signal position; unlisted positions are free."""
@@ -97,16 +118,33 @@ class GoalSpec:
                 raise ConfigurationError(f"goal entry {pos}: needs integer 'index' and string 'goal'") from exc
             if index in by_index:
                 raise ConfigurationError(f"goal entry {pos}: duplicate index {index}")
-            by_index[index] = Goal(
-                kind=kind,
-                lower=entry.get("min"),
-                upper=entry.get("max"),
-            )
+            for key in entry:
+                if key not in GOAL_KEYS:
+                    raise ConfigurationError(f"goal entry {pos}: unknown key {key!r}; allowed are {', '.join(GOAL_KEYS)}")
+            by_index[index] = Goal(kind=kind, lower=entry.get("min"), upper=entry.get("max"))
         return cls(by_index=by_index)
 
-    def active(self) -> dict[int, Goal]:
-        """Non-free goals, sorted by index."""
-        return {i: g for i, g in sorted(self.by_index.items()) if g.kind != "free"}
+    @cached_property
+    def table(self) -> GoalTable:
+        """The goal table, built on first use.
+
+        raise gives one ">=" row and lower one "<=" row, at ``threshold`` or
+        else the current value; bound gives ">=" at its min and "<=" at its
+        max, for each limit it has.
+        """
+        by_index = self.by_index
+        goals = [(i, g.kind, g.threshold, g.lower, g.upper) for i in sorted(by_index) if (g := by_index[i]).kind != "free"]
+        positions, kinds, *limits = zip(*goals) if goals else ((),) * 5
+        # NaN: a limit the goal lacks, or a threshold left to the current value
+        threshold, lower, upper = np.array([[math.nan if v is None else v for v in column] for column in limits]).reshape(3, -1)
+        kinds = np.array(kinds, dtype=str)
+        bound = kinds == "bound"
+        # each goal's two candidate rows: its threshold or min, then its max
+        goal, second = np.nonzero(np.stack((~bound | ~np.isnan(lower), bound & ~np.isnan(upper)), axis=1))
+        starts = np.searchsorted(goal, np.arange(len(goals)))
+        at_least = (second == 0) & (kinds[goal] != "lower")
+        fixed = np.where(second == 0, np.where(bound, lower, threshold)[goal], upper[goal])
+        return GoalTable(np.array(positions, dtype=np.intp), kinds, limits[1], limits[2], starts, goal, at_least, fixed)
 
 
 @dataclass(frozen=True)
@@ -156,8 +194,7 @@ class MaskingConfig:
         return make_filter(self.family, self.order)
 
 
-@dataclass(frozen=True)
-class GoalCheck:
+class GoalCheck(NamedTuple):
     """Post-hoc satisfaction record for one goal."""
 
     index: int
@@ -198,36 +235,28 @@ class MaskingResult:
             object.__setattr__(self, "q_tilde", frozen)
 
 
-def _goal_limits(goal: Goal, current: float) -> list[tuple[str, float]]:
-    """The (relation, rhs) rows one goal puts on the approximation at its position.
-
-    raise gives one ">=" row and lower one "<=" row, at ``threshold`` or else
-    ``current``; bound gives one row per limit it has.
-    """
-    if goal.kind == "bound":
-        limits = ((">=", goal.lower), ("<=", goal.upper))
-        return [(relation, limit) for relation, limit in limits if limit is not None]
-    return [(">=" if goal.kind == "raise" else "<=", current if goal.threshold is None else goal.threshold)]
+def _limit_rows(goals: GoalSpec, approx: np.ndarray, length: int) -> tuple[GoalTable, np.ndarray, np.ndarray]:
+    """The goal table, each row's 0-based position and its rhs (its fixed limit, or ``approx`` there)."""
+    if approx.size != length:
+        raise ConfigurationError(f"approximation length {approx.size} does not match operator length {length}")
+    table = goals.table
+    if table.positions.size and table.positions[-1] > length:
+        raise ConfigurationError(f"goal index {table.positions[-1]} exceeds signal length {length}")
+    at = table.positions[table.goal] - 1
+    return table, at, np.where(np.isnan(table.fixed), approx[at], table.fixed)
 
 
 def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> LinearProgram:
     """Turn per-position goals into rows over the replacement coefficients.
 
-    Goal i gives the rows of ``_goal_limits`` over wrm row i, with thresholds
-    defaulting to the current approximation value at i.  Rows are emitted in
-    ascending position order, gathered from the operator in one call.
+    A goal at position i gives its table rows over wrm row i, with the
+    current approximation value at i for a missing threshold.  Rows are
+    emitted in ascending position order, gathered from the operator in one call.
     """
-    a_k = np.asarray(approx, dtype=np.float64)
-    if a_k.size != wrm.length:
-        raise ConfigurationError(f"approximation length {a_k.size} does not match operator length {wrm.length}")
-    active = goals.active()
-    if not active:
+    table, at, rhs = _limit_rows(goals, np.asarray(approx, dtype=np.float64), wrm.length)
+    if not table.positions.size:
         raise ConfigurationError("goal set has no raise/lower/bound entries; masking would be a no-op")
-    if max(active) > wrm.length:
-        raise ConfigurationError(f"goal index {max(active)} exceeds signal length {wrm.length}")
-    limits = [(index, *limit) for index, goal in active.items() for limit in _goal_limits(goal, a_k[index - 1])]
-    positions, relations, rhs = zip(*limits)
-    return LinearProgram(wrm.rows(positions), relations, rhs)
+    return LinearProgram(wrm.rows(at + 1), np.where(table.at_least, ">=", "<=").tolist(), rhs)
 
 
 def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
@@ -349,17 +378,16 @@ def round_and_repair(q_scaled, target_sum: int, sum_repair: bool = True) -> np.n
 
 
 def evaluate_goals(new_approx, base_approx, goals: GoalSpec, tol: float = GOAL_TOL) -> tuple[GoalCheck, ...]:
-    """Check each non-free goal against the rebuilt approximation."""
+    """Check each non-free goal against the rebuilt approximation: every limit row of the goal must hold within tol."""
     new_approx = np.asarray(new_approx, dtype=np.float64)
-    base = np.asarray(base_approx, dtype=np.float64)
-    checks = []
-    for index, goal in goals.active().items():
-        achieved = float(new_approx[index - 1])
-        limits = _goal_limits(goal, float(base[index - 1]))
-        ok = all(achieved >= rhs - tol if relation == ">=" else achieved <= rhs + tol for relation, rhs in limits)
-        threshold = None if goal.kind == "bound" else limits[0][1]
-        checks.append(GoalCheck(index, goal.kind, achieved, ok, threshold, goal.lower, goal.upper))
-    return tuple(checks)
+    table, at, rhs = _limit_rows(goals, np.asarray(base_approx, dtype=np.float64), new_approx.size)
+    value = new_approx[at]
+    holds = np.where(table.at_least, value >= rhs - tol, value <= rhs + tol)
+    satisfied = np.logical_and.reduceat(holds, table.starts)
+    threshold = np.where(table.kinds == "bound", None, rhs[table.starts])
+    columns = (table.positions.tolist(), table.kinds.tolist(), value[table.starts].tolist(), satisfied.tolist())
+    # GoalCheck._make without its Python-level call per goal
+    return tuple(map(partial(tuple.__new__, GoalCheck), zip(*columns, threshold.tolist(), table.lowers, table.uppers)))
 
 
 def mask_signal(q, config: MaskingConfig) -> MaskingResult:

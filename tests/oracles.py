@@ -13,7 +13,7 @@ import numpy as np
 
 from wavemask.errors import MaskingError
 from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objective, max_violation
-from wavemask.masking import round_half_away
+from wavemask.masking import GOAL_TOL, GoalCheck, round_half_away
 from wavemask.microdata import MicrofileTable, Move
 
 
@@ -79,6 +79,45 @@ def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) ->
             pick = candidates[int(np.argmin(residual[candidates]))]
             out[pick] -= 1
     return out
+
+
+def active_goals(goals) -> dict:
+    """Non-free goals, sorted by index."""
+    return {i: g for i, g in sorted(goals.by_index.items()) if g.kind != "free"}
+
+
+def _goal_limits(goal, current: float) -> list[tuple[str, float]]:
+    """The (relation, rhs) rows one goal puts on the approximation at its position.
+
+    raise gives one ">=" row and lower one "<=" row, at ``threshold`` or else
+    ``current``; bound gives one row per limit it has.
+    """
+    if goal.kind == "bound":
+        limits = ((">=", goal.lower), ("<=", goal.upper))
+        return [(relation, limit) for relation, limit in limits if limit is not None]
+    return [(">=" if goal.kind == "raise" else "<=", current if goal.threshold is None else goal.threshold)]
+
+
+def goal_rows_loop(wrm, approx, goals) -> LinearProgram:
+    """Goal rows built goal by goal through ``_goal_limits``, in ascending position order."""
+    a_k = np.asarray(approx, dtype=np.float64)
+    limits = [(index, *limit) for index, goal in active_goals(goals).items() for limit in _goal_limits(goal, a_k[index - 1])]
+    positions, relations, rhs = zip(*limits)
+    return LinearProgram(wrm.rows(positions), relations, rhs)
+
+
+def evaluate_goals_loop(new_approx, base_approx, goals, tol: float = GOAL_TOL) -> tuple:
+    """Goal checks made goal by goal through ``_goal_limits``."""
+    new_approx = np.asarray(new_approx, dtype=np.float64)
+    base = np.asarray(base_approx, dtype=np.float64)
+    checks = []
+    for index, goal in active_goals(goals).items():
+        achieved = float(new_approx[index - 1])
+        limits = _goal_limits(goal, float(base[index - 1]))
+        ok = all(achieved >= rhs - tol if relation == ">=" else achieved <= rhs + tol for relation, rhs in limits)
+        threshold = None if goal.kind == "bound" else limits[0][1]
+        checks.append(GoalCheck(index, goal.kind, achieved, ok, threshold, goal.lower, goal.upper))
+    return tuple(checks)
 
 
 def random_lowpass(rng) -> np.ndarray:
@@ -183,6 +222,24 @@ class _Tableau:
             leaving = int(min(rows[ratios == ratios.min()], key=self.basis.__getitem__))
             self.pivot(leaving, entering)
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
+
+
+def phase1_cost_row_loop(blocks) -> np.ndarray:
+    """Phase-1 cost row of a fresh ``wavemask.lp._Blocks``, one masked add per tableau row.
+
+    Cost -1 at each real row's basic artificial, 0 elsewhere: the row starts
+    at -costs and adds cb * t[r] for each row whose basic cost cb is not 0,
+    in row order, across all blocks at once.
+    """
+    costs = np.zeros(blocks.t[:, -1, :-1].shape)
+    block, row = np.nonzero(blocks.basis >= 0)
+    costs[block, blocks.basis[block, row]] = -1.0
+    cb = np.take_along_axis(np.pad(costs, ((0, 0), (0, 1))), blocks.basis, axis=1)
+    bottom = np.zeros(blocks.t[:, -1].shape)
+    bottom[:, :-1] = -costs
+    for row in range(cb.shape[1]):
+        np.add(bottom, cb[:, row, None] * blocks.t[:, row], out=bottom, where=cb[:, row, None] != 0.0)
+    return bottom
 
 
 def _drop_artificials(tab: _Tableau, art_at: int) -> _Tableau:

@@ -309,6 +309,7 @@ def test_missing_output_directory_names_the_output(tmp_path, capsys):
     {"index": 1, "goal": "bound", "min": "5"},
     {"index": 1.5, "goal": "raise"},
     {"index": True, "goal": "raise"},
+    {"index": 1, "goal": "lower", "threshold": 5},
 ])
 def test_bad_goal_values_are_usage_errors(tmp_path, capsys, entry):
     signal, _ = write_inputs(tmp_path)

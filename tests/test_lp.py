@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import max_violation_loop, random_lp, solve_full_width, vertex_optimum
+from oracles import max_violation_loop, phase1_cost_row_loop, random_lp, solve_full_width, vertex_optimum
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
-from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, Objective, max_violation, solve
+from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, Objective, _Blocks, max_violation, solve
 from wavemask.masking import GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
@@ -364,6 +364,24 @@ def test_blocks_match_sequential_bland():
     for lp in goal_lps("goals-dense", sorted(set(range(40)) | set(EARLY_STOP_OPS))):
         assert_same_solution(lp, "feasibility", dense)
     assert dense["phase1_stops"] == len(EARLY_STOP_OPS)
+
+
+def test_phase1_cost_row_matches_row_loop(monkeypatch):
+    """The cost row built from the tableau's entries equals the per-row loop's, value for value."""
+    init, built = _Blocks.__init__, []
+
+    def checked(blocks, *args):
+        init(blocks, *args)
+        assert np.array_equal(blocks.t[:, -1], phase1_cost_row_loop(blocks))  # signs of zero may differ
+        built.append(blocks.t.shape[1] - 1)
+
+    monkeypatch.setattr(_Blocks, "__init__", checked)
+    rng = np.random.default_rng(1010)
+    for _ in range(1000):
+        solve(*stacked_lp(rng))
+    for lp in goal_lps("goals-dense", EARLY_STOP_OPS):
+        solve(lp)
+    assert len(built) >= 1000 + 2 * len(EARLY_STOP_OPS) and sum(height >= 4 for height in built) >= 500
 
 
 def test_max_violation_matches_row_loop():

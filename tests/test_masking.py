@@ -1,9 +1,12 @@
 """Goal constraints, coefficient replacement, reassembly, rounding, repair."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from oracles import round_and_repair_loop
+from oracles import active_goals, evaluate_goals_loop, goal_rows_loop, round_and_repair_loop
 from refdata import (
     A2_HAT,
     C_RANGE,
@@ -106,6 +109,83 @@ def test_evaluate_goals_case_table():
         GoalCheck(17, "lower", -1.0, True, threshold=8.0),
     )
     assert all(isinstance(check.threshold, float) for check in evaluate_goals(new_approx, base_approx, goals)[9:])
+
+
+def test_evaluate_goals_rejects_positions_outside_the_signal():
+    with pytest.raises(ConfigurationError, match="goal index 20 exceeds signal length 16"):
+        evaluate_goals(np.zeros(16), np.zeros(16), GoalSpec({20: Goal("raise")}))
+    with pytest.raises(ConfigurationError, match="approximation length 16 does not match operator length 8"):
+        evaluate_goals(np.zeros(8), np.zeros(16), GoalSpec({2: Goal("raise")}))
+    with pytest.raises(ConfigurationError, match="approximation length 8 does not match operator length 16"):
+        evaluate_goals(np.zeros(16), np.zeros(8), GoalSpec({12: Goal("lower")}))
+
+
+def random_goal_case(rng):
+    """A random goal set, operator, current approximation and rebuilt one.
+
+    Goals mix raise and lower (with and without a threshold), bound with a
+    min, a max or both, and free; limits include -0.0.  Each rebuilt value
+    lies at a limit of its goal, at that limit +-GOAL_TOL, one ulp past it,
+    or anywhere.
+    """
+    m, level = (8, 1) if rng.random() < 0.3 else (32, 2)
+    wrm = build_wrm(m, level, D4)
+    base = rng.uniform(-20.0, 20.0, m)
+    base[rng.random(m) < 0.1] = -0.0
+
+    def limit():
+        return (float(rng.uniform(-20.0, 20.0)), float(rng.integers(-5, 5)), 0.0, -0.0)[int(rng.integers(0, 4))]
+
+    by_index = {}
+    for index in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False) + 1:
+        kind = ("raise", "lower", "bound", "free")[int(rng.integers(0, 4))]
+        if kind == "bound":
+            sides = int(rng.integers(1, 4))  # min, max, both
+            low, high = sorted((limit(), limit()))
+            goal = Goal(kind, lower=low if sides & 1 else None, upper=high if sides & 2 else None)
+        else:
+            goal = Goal(kind, threshold=limit() if kind != "free" and rng.random() < 0.5 else None)
+        by_index[int(index)] = goal
+    new = rng.uniform(-25.0, 25.0, m)
+    for index, goal in by_index.items():
+        anchors = [v for v in (goal.threshold, goal.lower, goal.upper, base[index - 1]) if v is not None]
+        anchor = anchors[int(rng.integers(0, len(anchors)))] + (-GOAL_TOL, 0.0, GOAL_TOL)[int(rng.integers(0, 3))]
+        if rng.random() < 0.8:
+            new[index - 1] = np.nextafter(anchor, (-np.inf, anchor, np.inf)[int(rng.integers(0, 3))])
+    return GoalSpec(by_index), wrm, base, new
+
+
+def test_goal_table_matches_per_goal_loops():
+    """Rows and checks from the goal table equal the per-goal loops' bit for bit, Python types included."""
+    rng = np.random.default_rng(4242)
+    shapes, rows, negative_zero, at_edge, past_edge = Counter(), 0, 0, 0, 0
+    for _ in range(2000):
+        goals, wrm, base, new = random_goal_case(rng)
+        for goal in goals.by_index.values():
+            shapes[goal.kind, goal.threshold is None, goal.lower is None, goal.upper is None] += 1
+            limits = (goal.threshold, goal.lower, goal.upper)
+            negative_zero += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in limits if v is not None)
+        if not active_goals(goals):
+            with pytest.raises(ConfigurationError, match="no raise/lower/bound"):
+                build_constraints(wrm, base, goals)
+        else:
+            got, want = build_constraints(wrm, base, goals), goal_rows_loop(wrm, base, goals)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.relations == want.relations
+            assert got.rhs.tobytes() == want.rhs.tobytes()
+            rows += want.rhs.size
+        got, want = evaluate_goals(new, base, goals), evaluate_goals_loop(new, base, goals)
+        assert [repr(check) for check in got] == [repr(check) for check in want]  # -0.0, and numpy scalars, show
+        assert [tuple(map(type, check)) for check in got] == [tuple(map(type, check)) for check in want]
+        assert all(type(check) is GoalCheck for check in got)
+        for check in want:
+            limits = [v for v in (check.threshold, check.lower, check.upper) if v is not None]
+            edges = [(v - GOAL_TOL, -np.inf) for v in limits] + [(v + GOAL_TOL, np.inf) for v in limits]
+            at_edge += any(check.achieved == edge for edge, _ in edges)
+            past_edge += any(check.achieved == np.nextafter(edge, away) for edge, away in edges)
+    # raise and lower with and without a threshold, bound with min, max or both, free
+    assert len(shapes) == 8 and min(shapes.values()) >= 1000, shapes
+    assert rows >= 20000 and negative_zero >= 2000 and at_edge >= 1500 and past_edge >= 1500
 
 
 def test_build_constraints_worked_example_layout():
