@@ -1,30 +1,32 @@
 """Two-phase primal simplex over independent row blocks, for the goal systems built here.
 
 A system is a coefficient matrix with a relation and a rhs per row and a free
-variable per column, e.g. 256 goal rows by 512 approximation coefficients.
-Bland's rule, free variables split into positive parts, float64 arithmetic;
-untouched columns come back as 0; infeasible and unbounded are statuses.
+variable per column, e.g. 256 goal rows by 512 approximation coefficients,
+plus optional box bounds.  Each bound side that is set is a unit row after
+the matrix's rows, held only as its one entry.  Bland's rule, free variables
+split into positive parts, float64 arithmetic; untouched columns come back
+as 0; infeasible and unbounded are statuses.
 
 Rows sharing a touched column, directly or through other rows, form a block;
-a goal LP has many small ones.  Their tableaux (rows in row order; x+, x-,
-slack and artificial columns in global order) are zero-padded into one
-(blocks, rows + 1, columns + 1) array, and each round every block with an
-improving column makes its own Bland pivot, so Python loops as often as the
-longest block pivots.  This is sequential Bland's rule on one tableau, bit
-for bit: a pivot row is zero outside its block and a pivot only updates rows
-with a non-zero pivot-column entry f (``row -= f * pivot_row``), so each
-block takes the global tableau's pivots with the same arithmetic, and local
-columns keep the global order for entering and for exact ratio ties (lowest
-basic index).  Two couplings between blocks are replayed:
+a goal LP has many small ones.  Blocks share no row and no column, so each
+block is an LP of its own, solved by sequential Bland's rule on its own
+tableau: rows in row order; x+, x-, slack and artificial columns in global
+order.  The tableaux are zero-padded into one (blocks, rows + 1, columns + 1)
+array, and each round every block with an improving column makes its own
+pivot, so Python loops as often as the longest block pivots.  That is bit
+for bit the tableau of the block alone: a pivot only updates rows with a
+non-zero pivot-column entry f (``row -= f * pivot_row``), which all lie in
+its block, and local columns keep the global order for entering and for
+exact ratio ties (lowest basic index).  Each block decides for itself:
 
-- Global Bland enters the smallest head among the blocks.  A stable sort of
-  all pivots by the running maximum of their block's entering columns gives
-  that interleaving.  The phase-1 residual compared with FEAS_TOL is summed
-  in it: every row's rhs in row order, then each pivot's ``f * pivot_rhs``.
-- Global Bland stops at the first entering column with no entry above
-  PIVOT_TOL.  Phase 1 ignores that "unbounded" and goes on from where it
-  stopped, so phase 1 is rerun with each block capped at its pivots before
-  that moment.  In phase 2 a stuck block means "unbounded".
+- A block whose entering column has no entry above PIVOT_TOL stops there,
+  and the other blocks run on to their own end.
+- Phase 1 finds the system infeasible iff some block's own residual (its
+  cost row's rhs) is below -FEAS_TOL, a stopped block's where it stopped.
+- Phase 2 finds it unbounded iff some block stopped.
+
+So no verdict depends on a float sum over other blocks, whose rounding
+grows with their number and the size of their rhs.
 
 The phase-1 cost row needs no pass over the rows.  At phase-1 start every
 real row's basic variable is its artificial, at cost -1, so sequential
@@ -35,12 +37,12 @@ taken in row order by one ``np.subtract.at`` (which applies its terms in
 index order): every non-zero entry has the same bits.  An artificial's
 entry, +1 less its own row's 1, is exactly 0 and is left out.  A zero entry
 of a row adds +-0, which only flips the sign of a zero cost entry, and no
-output reads that: the cost row is read only by ``< -PIVOT_TOL`` tests and
-``f * pivot_row`` updates, the phase-1 residual is replayed separately, and
-phase 2 rebuilds the row from scratch (``set_objective``).  The x- entries
-are written one by one too, so a zero there is +0 where negating all of x+
-would give -0; no output reads the sign of a zero tableau entry (a zero
-``f`` updates nothing, and ``x`` comes from the rhs column alone).
+output reads that: the cost row is read only by ``< -PIVOT_TOL`` and
+``< -FEAS_TOL`` tests and ``f * pivot_row`` updates, and phase 2 rebuilds
+the row from scratch (``set_objective``).  The x- entries are written one
+by one too, so a zero there is +0 where negating all of x+ would give -0;
+no output reads the sign of a zero tableau entry (a zero ``f`` updates
+nothing, and ``x`` comes from the rhs column alone).
 """
 
 from __future__ import annotations
@@ -107,33 +109,38 @@ class LinearProgram:
     def num_vars(self) -> int:
         return self.coeffs.shape[1]
 
-    def with_bounds(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-        """(coeffs, relations, rhs) with a unit row per bound side that is set, the LP's own arrays when unbounded."""
-        if self.bounds is None:
-            return self.coeffs, self.relations, self.rhs
-        limits = np.array(self.bounds, dtype=object).reshape(self.num_vars, 2)
-        column, side = np.nonzero(np.not_equal(limits, None))  # per column: lower, then upper
-        units = (column[:, None] == np.arange(self.num_vars)).astype(np.float64)
-        relations = self.relations + tuple(np.array((">=", "<="))[side].tolist())
-        rhs = np.concatenate((self.rhs, limits[column, side].astype(np.float64)))
-        if not np.all(np.isfinite(rhs)):
-            raise ConfigurationError("constraint contains non-finite values")
-        return np.vstack((self.coeffs, units)), relations, rhs
-
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # feasible | optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective_value: float | None = None
-    pivots: int = 0  # phase 1, artificials driven out, phase 2: as one global Bland tableau makes them
+    # phase 1, artificials driven out, phase 2: summed over blocks, as sequential Bland makes them on each block alone
+    pivots: int = 0
+
+
+def _bound_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column of each bound side that is set, then every row's relation and rhs, bound sides last.
+
+    A bound side is a unit row on its column; they come per column, lower
+    then upper.
+    """
+    relation = np.array(lp.relations, dtype=str)
+    if lp.bounds is None:
+        return np.zeros(0, dtype=np.intp), relation, lp.rhs
+    limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
+    column, side = np.nonzero(np.not_equal(limits, None))
+    rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
+    if not np.all(np.isfinite(rhs)):
+        raise ConfigurationError("constraint contains non-finite values")
+    return column, np.concatenate((relation, np.array((">=", "<="))[side])), rhs
 
 
 def max_violation(lp: LinearProgram, x) -> float:
     """Largest violation of any row or bound at point x (0 when feasible)."""
-    coeffs, relations, rhs = lp.with_bounds()
-    excess = coeffs @ np.asarray(x, dtype=np.float64) - rhs
-    relation = np.array(relations, dtype=str)
+    x = np.asarray(x, dtype=np.float64)
+    column, relation, rhs = _bound_rows(lp)
+    excess = np.concatenate((lp.coeffs @ x, x[column])) - rhs
     gap = np.where(relation == ">=", -excess, np.where(relation == "=", np.abs(excess), excess))
     return float(np.max(gap, initial=0.0))
 
@@ -157,47 +164,28 @@ def _rank(group: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return rank, int(sizes.max(initial=0))
 
 
-def _replay(events: list, blocks: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Each block's pivots before the first stuck event in global Bland order, their products in it, any stuck."""
-    if not events:
-        return np.zeros(blocks, dtype=np.intp), np.zeros(0), False
-    block, key, product = (np.concatenate(part) for part in list(zip(*events))[:3])
-    stuck = np.repeat([event[3] for event in events], [event[0].size for event in events])
-    order = np.argsort(block, kind="stable")  # each block's events, in round order
-    offset = block[order] * (int(key.max()) + 1)
-    order = order[np.argsort(np.maximum.accumulate(key[order] + offset) - offset, kind="stable")]
-    stops = np.flatnonzero(stuck[order])
-    order = order[: stops[0]] if stops.size else order
-    return np.bincount(block[order], minlength=blocks), product[order], bool(stops.size)
-
-
 class _Blocks:
     """Phase-1 tableaux of the blocks of the rows' non-zero (row, column, value) entries, zero-padded.
 
     The entries come in row-major order.  ``t[b]``: x+ at [0, width), x- at
     [width, 2 width), slacks, artificials from ``art_at``, rhs; cost row
-    last.  ``basis`` holds each row's basic local column (-1: no row),
-    ``keys`` each local column's global order.
+    last.  ``basis`` holds each row's basic local column (-1: no row).
     """
 
-    def __init__(self, entries: tuple, ncols: int, relations: tuple[str, ...], rhs: np.ndarray):
+    def __init__(self, entries: tuple, ncols: int, relation: np.ndarray, rhs: np.ndarray):
         rows, position, values = entries
         nr = rhs.size
         parent = _components(rows, position, nr, ncols)
-        roots, block = np.unique(parent, return_inverse=True)
-        nb, row_block, self.col_block = roots.size, block[:nr], block[nr:]
+        # parent is fully compressed: the roots are its fixed points, numbered in index order
+        roots = parent == np.arange(parent.size)
+        block = (np.cumsum(roots) - 1)[parent]
+        nb, row_block, self.col_block = int(np.count_nonzero(roots)), block[:nr], block[nr:]
         row_local, height = _rank(row_block, nb)
         self.col_local, self.width = _rank(self.col_block, nb)
-        relation = np.array(relations, dtype=str)
         slack = relation != "="
         slack_local, slacks = _rank(row_block[slack], nb)
         slack_col = 2 * self.width + slack_local
         self.art_at = art_at = 2 * self.width + slacks
-        self.keys = np.zeros((nb, art_at + height), dtype=np.intp)
-        self.keys[self.col_block, self.col_local] = np.arange(ncols)
-        self.keys[self.col_block, self.width + self.col_local] = ncols + np.arange(ncols)
-        self.keys[row_block[slack], slack_col] = 2 * ncols + np.flatnonzero(slack)
-        self.keys[row_block, art_at + row_local] = 2 * ncols + nr + np.arange(nr)
 
         flip = rhs < 0.0  # such a row is negated, and its relation reverses
         self.rhs = np.where(flip, -rhs, rhs)
@@ -226,27 +214,26 @@ class _Blocks:
         for row in range(cb.shape[1]):
             np.add(bottom, cb[:, row, None] * self.t[:, row], out=bottom, where=cb[:, row, None] != 0.0)
 
-    def run(self, width: int, caps: np.ndarray | None = None) -> list:
+    def run(self, width: int) -> tuple[int, bool]:
         """Rounds of Bland's rule entering among the first ``width`` columns.
 
-        Each round, every block with an improving column pivots once, unless
-        it has made ``caps[b]`` pivots or got stuck (no entry above PIVOT_TOL
-        in its entering column).  Returns the events: (blocks, entering keys,
-        cost-row products, stuck) per round.
+        Each round, every block with an improving column pivots once.  A
+        block whose entering column has no entry above PIVOT_TOL is stuck and
+        stops there; the others go on.  Returns the pivots made and whether
+        some block got stuck.
         """
-        t, basis, events = self.t, self.basis, []
-        left = np.full(len(t), np.iinfo(np.intp).max) if caps is None else caps.copy()
+        t, basis, made = self.t, self.basis, 0
+        stuck = np.zeros(len(t), dtype=bool)
         for _ in range(10_000 * sum(t.shape)):
             improving = t[:, -1, :width] < -PIVOT_TOL
-            live = np.flatnonzero(improving.any(axis=1) & (left > 0))
+            live = np.flatnonzero(improving.any(axis=1) & ~stuck)
             if live.size == 0:
-                return events
+                return made, bool(stuck.any())
             entering = improving[live].argmax(axis=1)
             column = t[live, :, entering]
             positive = column[:, :-1] > PIVOT_TOL
             if not (found := positive.any(axis=1)).all():
-                left[live[~found]] = 0
-                events.append((live[~found], self.keys[live[~found], entering[~found]], np.zeros(np.sum(~found)), True))
+                stuck[live[~found]] = True
                 live, entering, column, positive = live[found], entering[found], column[found], positive[found]
                 if live.size == 0:
                     continue
@@ -260,8 +247,7 @@ class _Blocks:
             lane, row = np.divmod(np.flatnonzero(column), column.shape[1])
             t[live[lane], row] -= column[lane, row, None] * pivot_row[lane]
             t[live, leaving], basis[live, leaving] = pivot_row, entering
-            left[live] -= 1
-            events.append((live, self.keys[live, entering], column[:, -1] * pivot_row[:, -1], False))
+            made += live.size
         raise RuntimeError("simplex iteration limit exceeded")  # Bland should prevent this
 
     def drop_artificials(self) -> int:
@@ -306,8 +292,13 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     if mode == "optimize" and lp.objective is None:
         raise ConfigurationError("optimize mode requires an objective")
 
-    coeffs, relations, rhs = lp.with_bounds()
-    rows, cols = np.divmod(np.flatnonzero(coeffs != 0.0), lp.num_vars)
+    column, relation, rhs = _bound_rows(lp)
+    rows, cols = np.nonzero(lp.coeffs)
+    values = lp.coeffs[rows, cols]
+    # bound side k is row lp.rhs.size + k, with one entry: 1.0 on its column
+    rows = np.concatenate((rows, lp.rhs.size + np.arange(column.size)))
+    cols = np.concatenate((cols, column))
+    values = np.concatenate((values, np.ones(column.size)))
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.
@@ -316,14 +307,9 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     if mode == "optimize":
         touched |= lp.objective.coeffs != 0.0
     columns = np.flatnonzero(touched)
-    entries = (rows, np.searchsorted(columns, cols), coeffs[rows, cols])
-    blocks = _Blocks(entries, columns.size, relations, rhs)
-    caps, products, stopped = _replay(blocks.run(blocks.t.shape[2] - 1), len(blocks.t))
-    if stopped:  # global Bland stopped there: rerun phase 1 up to that moment
-        blocks = _Blocks(entries, columns.size, relations, rhs)
-        blocks.run(blocks.t.shape[2] - 1, caps)
-    pivots = int(caps.sum())
-    if np.cumsum(np.concatenate(([0.0], -blocks.rhs, -products)))[-1] < -FEAS_TOL:
+    blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, relation, rhs)
+    pivots, _stuck = blocks.run(blocks.t.shape[2] - 1)  # a stuck block keeps its residual
+    if np.any(blocks.t[:, -1, -1] < -FEAS_TOL):
         return LpSolution(status="infeasible", pivots=pivots)
     pivots += blocks.drop_artificials()
 
@@ -337,8 +323,9 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     costs[blocks.col_block, blocks.col_local] = gain
     costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
     blocks.set_objective(costs)
-    made, _products, stuck = _replay(blocks.run(blocks.art_at), len(blocks.t))
+    made, stuck = blocks.run(blocks.art_at)
+    pivots += made
     if stuck:
-        return LpSolution(status="unbounded", pivots=pivots + int(made.sum()))
+        return LpSolution(status="unbounded", pivots=pivots)
     x[columns] = blocks.extract()
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots + int(made.sum()))
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots)

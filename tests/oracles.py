@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from wavemask.errors import MaskingError
+from wavemask.errors import ConfigurationError, MaskingError
 from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objective, max_violation
 from wavemask.masking import GOAL_TOL, GoalCheck, round_half_away
 from wavemask.microdata import MicrofileTable, Move
@@ -127,13 +127,27 @@ def random_lowpass(rng) -> np.ndarray:
     return np.array([1 - c + s, 1 + c + s, 1 + c - s, 1 - c - s]) / (2.0 * np.sqrt(2.0))
 
 
+def with_bounds(lp: LinearProgram) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """(coeffs, relations, rhs) with a dense unit row per bound side that is set, the LP's own arrays when unbounded."""
+    if lp.bounds is None:
+        return lp.coeffs, lp.relations, lp.rhs
+    limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
+    column, side = np.nonzero(np.not_equal(limits, None))  # per column: lower, then upper
+    units = (column[:, None] == np.arange(lp.num_vars)).astype(np.float64)
+    relations = lp.relations + tuple(np.array((">=", "<="))[side].tolist())
+    rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
+    if not np.all(np.isfinite(rhs)):
+        raise ConfigurationError("constraint contains non-finite values")
+    return np.vstack((lp.coeffs, units)), relations, rhs
+
+
 def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
     """Solve every n-subset of tight rows, keep feasible points, take the best.
 
     Needs bounds in the program so the optimum sits on a vertex.
     Returns (status, best_value).
     """
-    coeffs, _relations, rhs = lp.with_bounds()
+    coeffs, _relations, rhs = with_bounds(lp)
     n = lp.num_vars
     best = None
     feasible = False
@@ -160,7 +174,7 @@ def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
 def max_violation_loop(lp: LinearProgram, x) -> float:
     """Largest row or bound violation at x, one dot product per row."""
     worst = 0.0
-    for coeffs, relation, rhs in zip(*lp.with_bounds()):
+    for coeffs, relation, rhs in zip(*with_bounds(lp)):
         lhs = float(coeffs @ x)
         gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[relation]
         worst = max(worst, gap)
@@ -305,13 +319,10 @@ def _build_phase1_full_width(system, num_vars: int):
 def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict | None = None) -> LpSolution:
     """Sequential Bland's rule over every column, one tableau row laid out at a time.
 
-    ``wavemask.lp.solve`` drops the columns no row or cost touches and pivots
-    independent row blocks side by side; this keeps one tableau over every
-    column and makes one pivot at a time, so the two must agree bit for bit,
-    pivot count included.  ``counts``, when given, gains the run's pivots,
-    exact ratio ties and phase-1 early stops.
+    ``counts``, when given, gains the run's pivots, its phase-1 pivots, exact
+    ratio ties and phase-1 early stops.
     """
-    tab, split, art_at = _build_phase1_full_width(lp.with_bounds(), lp.num_vars)
+    tab, split, art_at = _build_phase1_full_width(with_bounds(lp), lp.num_vars)
     ties = 0
 
     def solution(**fields) -> LpSolution:
@@ -323,8 +334,10 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict 
     phase1_cost = np.zeros(tab.ncols)
     phase1_cost[art_at:] = -1.0
     tab.set_objective(phase1_cost)
-    if tab.run() == "unbounded" and counts is not None:  # phase 1 goes on from where it stopped
-        counts["phase1_stops"] = counts.get("phase1_stops", 0) + 1
+    stopped = tab.run() == "unbounded"  # phase 1 goes on from where it stopped
+    if counts is not None:
+        counts["phase1_pivots"] = counts.get("phase1_pivots", 0) + tab.pivots
+        counts["phase1_stops"] = counts.get("phase1_stops", 0) + stopped
     if tab.t[-1, -1] < -FEAS_TOL:
         return solution(status="infeasible")
     ties = tab.ties
@@ -344,6 +357,62 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict 
         return solution(status="unbounded")
     x = _extract(tab, lp.num_vars)
     return solution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
+
+
+def solve_each_block(lp: LinearProgram, mode: str = "feasibility", counts: dict | None = None) -> LpSolution:
+    """``solve_full_width`` on each independent block of the program alone, the results joined.
+
+    ``wavemask.lp.solve`` drops the columns no row or cost touches and pivots
+    independent row blocks side by side, so the two must agree bit for bit,
+    pivot count included.  Bound sides are unit rows; a block is a connected
+    set of rows and columns, joined by non-zero entries, found by a plain
+    union-find.  A row with no entry gets one all-zero column.  The program
+    is infeasible if a block is (pivots: every block's phase-1 pivots), else
+    unbounded if a block is, else x is put together from the blocks'.
+    ``counts`` gains each block's counts.
+    """
+    coeffs, relations, rhs = with_bounds(lp)
+    nr, n = coeffs.shape
+    costs = np.zeros(n) if lp.objective is None else lp.objective.coeffs
+    parent = list(range(nr + n))
+
+    def root(node: int) -> int:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for row, col in zip(*np.nonzero(coeffs)):
+        parent[root(int(row))] = root(nr + int(col))
+    blocks: dict[int, list[int]] = {}
+    for node in range(nr + n):
+        blocks.setdefault(root(node), []).append(node)
+
+    x, solutions, phase1_pivots = np.zeros(n), [], 0
+    for nodes in blocks.values():
+        rows = [node for node in nodes if node < nr]
+        cols = [node - nr for node in nodes if node >= nr]
+        part = coeffs[rows][:, cols] if cols else np.zeros((len(rows), 1))
+        objective = None if lp.objective is None else Objective(costs[cols] if cols else [0.0], lp.objective.sense)
+        block_counts: dict = {}
+        solution = solve_full_width(
+            LinearProgram(part, [relations[row] for row in rows], rhs[rows], objective=objective), mode, block_counts
+        )
+        if counts is not None:
+            for key, value in block_counts.items():
+                counts[key] = counts.get(key, 0) + value
+        phase1_pivots += block_counts["phase1_pivots"]
+        solutions.append(solution)
+        if solution.x is not None and cols:
+            x[cols] = solution.x
+    statuses = {solution.status for solution in solutions}
+    pivots = sum(solution.pivots for solution in solutions)
+    if "infeasible" in statuses:
+        return LpSolution(status="infeasible", pivots=phase1_pivots)
+    if "unbounded" in statuses:
+        return LpSolution(status="unbounded", pivots=pivots)
+    if mode == "feasibility":
+        return LpSolution(status="feasible", x=x, pivots=pivots)
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots)
 
 
 def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:

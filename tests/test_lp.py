@@ -1,13 +1,22 @@
 """Two-phase simplex: statuses, feasibility guarantees, oracle agreement."""
 
 import importlib.util
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import max_violation_loop, phase1_cost_row_loop, random_lp, solve_full_width, vertex_optimum
+from oracles import (
+    max_violation_loop,
+    phase1_cost_row_loop,
+    random_lp,
+    solve_each_block,
+    solve_full_width,
+    vertex_optimum,
+    with_bounds,
+)
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
 from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, Objective, _Blocks, max_violation, solve
@@ -228,16 +237,22 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
     if rng.random() < 0.4:
         bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
     lp = LinearProgram(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
-    in_rows = np.any(lp.with_bounds()[0] != 0.0, axis=0)
+    in_rows = np.any(with_bounds(lp)[0] != 0.0, axis=0)
     return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
 
 
-def goal_lps(workload: str, indices):
-    """Goal LPs that mask_signal builds for the benchmark's timed inputs of seed 1."""
+def bench_workloads():
+    """The benchmark's input generators, ``bench/workloads.py``."""
     source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", source)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def goal_lps(workload: str, indices):
+    """Goal LPs that mask_signal builds for the benchmark's timed inputs of seed 1."""
+    workloads = bench_workloads()
     filters = make_filter(*workloads.WAVELET)
     for index in indices:
         inp = workloads.WORKLOADS[workload].make(1, workloads.STREAM_TIMED, index, None)
@@ -248,7 +263,7 @@ def goal_lps(workload: str, indices):
 
 
 def assert_same_solution(lp: LinearProgram, mode: str, counts: dict | None = None) -> str:
-    got, want = solve(lp, mode), solve_full_width(lp, mode, counts)
+    got, want = solve(lp, mode), solve_each_block(lp, mode, counts)
     assert got.status == want.status
     assert (got.x is None) == (want.x is None)
     if got.x is not None:
@@ -270,7 +285,7 @@ def test_touched_columns_match_full_width_tableau():
         if mode == "optimize" and has_cost_only_column:
             assert status in ("unbounded", "infeasible")
             cost_only += status == "unbounded"
-        no_rows += lp.with_bounds()[2].size == 0
+        no_rows += with_bounds(lp)[2].size == 0
         zero_column += lp.rhs.size > 0 and not np.all(np.any(lp.coeffs != 0.0, axis=0))
         equality += "=" in lp.relations
         signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
@@ -346,7 +361,7 @@ EARLY_STOP_OPS = (4, 90, 98, 117, 123, 161, 174, 196, 197, 206, 208, 304, 310, 3
 
 
 def test_blocks_match_sequential_bland():
-    """Block-by-block rounds give sequential Bland's statuses, x bytes, objectives and pivot counts."""
+    """Block-by-block rounds give sequential Bland's statuses, x bytes, objectives and pivots on each block alone."""
     rng = np.random.default_rng(1010)
     seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
     counts = {}
@@ -360,10 +375,13 @@ def test_blocks_match_sequential_bland():
     assert min(seen.values()) >= 100, seen
     assert min(bounded, equality, signed_zero_rhs) >= 100
     assert counts["ties"] >= 100 and counts["phase1_stops"] >= 10, counts
-    dense = {}
-    for lp in goal_lps("goals-dense", sorted(set(range(40)) | set(EARLY_STOP_OPS))):
+    ops, stopped = sorted(set(range(40)) | set(EARLY_STOP_OPS)), []
+    for op, lp in zip(ops, goal_lps("goals-dense", ops)):
+        dense = {}
         assert_same_solution(lp, "feasibility", dense)
-    assert dense["phase1_stops"] == len(EARLY_STOP_OPS)
+        if dense["phase1_stops"]:
+            stopped.append(op)
+    assert tuple(stopped) == EARLY_STOP_OPS
 
 
 def test_phase1_cost_row_matches_row_loop(monkeypatch):
@@ -381,7 +399,7 @@ def test_phase1_cost_row_matches_row_loop(monkeypatch):
         solve(*stacked_lp(rng))
     for lp in goal_lps("goals-dense", EARLY_STOP_OPS):
         solve(lp)
-    assert len(built) >= 1000 + 2 * len(EARLY_STOP_OPS) and sum(height >= 4 for height in built) >= 500
+    assert len(built) >= 1000 + len(EARLY_STOP_OPS) and sum(height >= 4 for height in built) >= 500
 
 
 def test_max_violation_matches_row_loop():
@@ -391,9 +409,64 @@ def test_max_violation_matches_row_loop():
     for _ in range(400):
         lp, _mode, _cost_only = random_lp_with_gaps(rng)
         x = rng.uniform(-12.0, 12.0, size=lp.num_vars)
-        coeffs, _relations, rhs = lp.with_bounds()
+        coeffs, _relations, rhs = with_bounds(lp)
         scale = float(np.max(np.abs(coeffs) @ np.abs(x) + np.abs(rhs), initial=1.0))
         tol = 4 * lp.num_vars * np.finfo(np.float64).eps * scale
         assert abs(max_violation(lp, x) - max_violation_loop(lp, x)) <= tol
         checked += rhs.size > 0
     assert checked >= 300
+
+
+def test_many_one_row_blocks_are_feasible():
+    """Each block's own residual decides: 1000 rows x_i >= b_i with b_i near 1e5 are feasible at x = b.
+
+    A residual summed over all blocks rounds at about 1e8, whose ulp (1.5e-8)
+    is within a factor 7 of FEAS_TOL; on seeds 2 and 6 that sum falls below
+    -FEAS_TOL.
+    """
+    for seed in range(8):
+        rhs = 1e5 + np.random.default_rng(seed).uniform(-1.0, 1.0, 1000)
+        sol = solve(LinearProgram(np.eye(rhs.size), (">=",) * rhs.size, rhs))
+        assert sol.status == "feasible", seed
+        assert sol.x.tolist() == rhs.tolist() and sol.pivots == rhs.size
+
+
+def test_boxed_goal_lp_at_m_16384_is_optimal():
+    """Optimize mode over 4096 coefficients boxed to +-1e5 with 256 goal rows reaches the HiGHS optimum."""
+    workloads = bench_workloads()
+    rng = np.random.default_rng(5)
+    q = workloads.skewed_counts(rng, 16384).astype(np.float64)
+    goals = GoalSpec.from_entries(workloads.goal_entries(rng, q.size, 256))
+    filters = make_filter("daubechies", 2)
+    wrm = build_wrm(q.size, 2, filters)
+    lp = build_constraints(wrm, wrm.apply(decompose(q, filters, 2).approx), goals)
+    n = lp.num_vars
+    lp = replace(lp, objective=Objective(np.ones(n), "minimize"), bounds=((-1e5, 1e5),) * n)
+    sol = solve(lp, mode="optimize")
+    assert sol.status == "optimal"
+    assert max_violation(lp, sol.x) <= 1e-7 * max(1.0, float(np.max(np.abs(lp.rhs))))
+    optimize = pytest.importorskip("scipy.optimize")
+    sign = np.where(np.array(lp.relations) == "<=", 1.0, -1.0)
+    highs = optimize.linprog(
+        np.ones(n), A_ub=lp.coeffs * sign[:, None], b_ub=lp.rhs * sign, bounds=(-1e5, 1e5), method="highs"
+    )
+    assert highs.status == 0
+    assert abs(sol.objective_value - highs.fun) <= 1e-9 * abs(highs.fun)
+
+
+def test_bounds_take_no_dense_rows():
+    """4096 columns boxed to +-10 and one goal row: solve allocates far less than 8192 dense unit rows (256 MiB)."""
+    n = 4096
+    coeffs = np.zeros((1, n))
+    coeffs[0, :3] = (1.0, -2.0, 1.0)
+    lp = LinearProgram(
+        coeffs, ("<=",), (5.0,), objective=Objective(np.ones(n), "minimize"), bounds=((-10.0, 10.0),) * n
+    )
+    tracemalloc.start()
+    try:
+        sol = solve(lp, mode="optimize")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.objective_value == -40960.0
+    assert peak < 64 * 2**20
