@@ -1,11 +1,12 @@
 """Two-phase primal simplex over independent row blocks, for the goal systems built here.
 
-A system is a coefficient matrix with a relation and a rhs per row and a free
-variable per column, e.g. 256 goal rows by 512 approximation coefficients,
-plus optional box bounds.  Each bound side that is set is a unit row after
-the matrix's rows, held only as its one entry.  Bland's rule, free variables
-split into positive parts, float64 arithmetic; untouched columns come back
-as 0; infeasible and unbounded are statuses.
+A system is a coefficient matrix held as its non-zero (row, column, value)
+entries, row-major, with a relation and a rhs per row and a free variable
+per column, e.g. 256 goal rows of a few entries over 512 coefficients, plus
+optional box bounds: each side that is set is a unit row after the matrix's
+rows, held as its one entry.  Bland's rule, free variables split into
+positive parts, float64 arithmetic; untouched columns come back as 0;
+infeasible and unbounded are statuses.
 
 Rows sharing a touched column, directly or through other rows, form a block;
 a goal LP has many small ones.  Blocks share no row and no column, so each
@@ -73,31 +74,36 @@ class Objective:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Rows ``coeffs @ x <relations> rhs`` over free variables, one per column.
+    """Rows ``A @ x <relations> rhs`` over ``num_vars`` free variables, one row per rhs value.
 
-    ``coeffs`` is kept read-only; a read-only array that owns its data is not
-    copied.  Bounds default to unbounded; a bound of None leaves that side open.
+    ``entries`` holds A as (rows, columns, values) of its non-zeros in
+    row-major order, each in range, finite and non-zero, stored as read-only
+    copies.  Bounds default to unbounded; a bound of None leaves that side open.
     """
 
-    coeffs: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    num_vars: int
     relations: tuple[str, ...]
     rhs: np.ndarray
     objective: Objective | None = None
     bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        object.__setattr__(self, "coeffs", coeffs if coeffs.flags.owndata and not coeffs.flags.writeable else _frozen(coeffs))
+        object.__setattr__(self, "entries", tuple(map(_frozen, self.entries, (np.intp, np.intp, np.float64))))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "rhs", _frozen(self.rhs))
-        if coeffs.ndim != 2 or coeffs.shape[1] < 1:
-            raise ConfigurationError(f"coeffs must be 2-D with at least one column, got shape {coeffs.shape}")
-        if len(self.relations) != len(coeffs) or self.rhs.shape != (len(coeffs),):
-            raise ConfigurationError(f"{len(coeffs)} rows, {len(self.relations)} relations and {self.rhs.size} rhs values")
+        (rows, cols, values), nr, nv = self.entries, self.rhs.size, self.num_vars
+        if nv < 1 or len(self.relations) != nr or self.rhs.ndim != 1:
+            raise ConfigurationError(f"{nr} rhs values, {len(self.relations)} relations and {nv} columns (at least one)")
         if not set(self.relations) <= set(RELATIONS):
             raise ConfigurationError(f"unknown relation in {sorted(set(self.relations) - set(RELATIONS))}")
-        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(self.rhs)):
-            raise ConfigurationError("constraint contains non-finite values")
+        if not rows.shape == cols.shape == values.shape == (rows.size,):
+            raise ConfigurationError("entries must be three 1-D arrays of one length")
+        key = rows * nv + cols  # strictly increasing in row-major order
+        if np.any((cols < 0) | (cols >= nv) | (key >= nr * nv) | (np.diff(key, prepend=-1) <= 0)):
+            raise ConfigurationError(f"entries must be row-major, one per (row, column) of the {nr} x {nv} matrix")
+        if not (np.all(np.isfinite(values)) and np.all(values) and np.all(np.isfinite(self.rhs))):
+            raise ConfigurationError("entries must be finite and non-zero, and rhs values finite")
         if self.objective is not None and self.objective.coeffs.size != self.num_vars:
             raise ConfigurationError("objective length does not match num_vars")
         if self.bounds is not None:
@@ -106,8 +112,12 @@ class LinearProgram:
                 raise ConfigurationError("bounds length does not match num_vars")
 
     @property
-    def num_vars(self) -> int:
-        return self.coeffs.shape[1]
+    def coeffs(self) -> np.ndarray:
+        """The dense read-only matrix, built on each access: O(rows x num_vars) memory."""
+        out = np.zeros((self.rhs.size, self.num_vars))
+        out[self.entries[:2]] = self.entries[2]
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,28 +129,29 @@ class LpSolution:
     pivots: int = 0
 
 
-def _bound_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column of each bound side that is set, then every row's relation and rhs, bound sides last.
+def _bound_rows(lp: LinearProgram) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every row's entries, relation and rhs, with each bound side that is set as a unit row last.
 
-    A bound side is a unit row on its column; they come per column, lower
-    then upper.
+    Bound side k is row lp.rhs.size + k, with one entry: 1.0 on its column;
+    they come per column, lower then upper.
     """
     relation = np.array(lp.relations, dtype=str)
     if lp.bounds is None:
-        return np.zeros(0, dtype=np.intp), relation, lp.rhs
+        return lp.entries, relation, lp.rhs
     limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
     column, side = np.nonzero(np.not_equal(limits, None))
     rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
     if not np.all(np.isfinite(rhs)):
         raise ConfigurationError("constraint contains non-finite values")
-    return column, np.concatenate((relation, np.array((">=", "<="))[side])), rhs
+    units = (lp.rhs.size + np.arange(column.size), column, np.ones(column.size))
+    return tuple(map(np.concatenate, zip(lp.entries, units))), np.concatenate((relation, np.array((">=", "<="))[side])), rhs
 
 
 def max_violation(lp: LinearProgram, x) -> float:
     """Largest violation of any row or bound at point x (0 when feasible)."""
     x = np.asarray(x, dtype=np.float64)
-    column, relation, rhs = _bound_rows(lp)
-    excess = np.concatenate((lp.coeffs @ x, x[column])) - rhs
+    (rows, cols, values), relation, rhs = _bound_rows(lp)
+    excess = np.bincount(rows, values * x[cols], minlength=rhs.size) - rhs
     gap = np.where(relation == ">=", -excess, np.where(relation == "=", np.abs(excess), excess))
     return float(np.max(gap, initial=0.0))
 
@@ -292,13 +303,7 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     if mode == "optimize" and lp.objective is None:
         raise ConfigurationError("optimize mode requires an objective")
 
-    column, relation, rhs = _bound_rows(lp)
-    rows, cols = np.nonzero(lp.coeffs)
-    values = lp.coeffs[rows, cols]
-    # bound side k is row lp.rhs.size + k, with one entry: 1.0 on its column
-    rows = np.concatenate((rows, lp.rhs.size + np.arange(column.size)))
-    cols = np.concatenate((cols, column))
-    values = np.concatenate((values, np.ones(column.size)))
+    (rows, cols, values), relation, rhs = _bound_rows(lp)
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.

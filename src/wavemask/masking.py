@@ -122,7 +122,9 @@ class GoalSpec:
                 if key not in GOAL_KEYS:
                     raise ConfigurationError(f"goal entry {pos}: unknown key {key!r}; allowed are {', '.join(GOAL_KEYS)}")
             by_index[index] = Goal(kind=kind, lower=entry.get("min"), upper=entry.get("max"))
-        return cls(by_index=by_index)
+        spec = object.__new__(cls)  # the indices are validated above; __post_init__ would check them again
+        object.__setattr__(spec, "by_index", by_index)
+        return spec
 
     @cached_property
     def table(self) -> GoalTable:
@@ -230,9 +232,7 @@ class MaskingResult:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.q_tilde is not None:
-            frozen = np.array(self.q_tilde, dtype=np.int64)
-            frozen.setflags(write=False)
-            object.__setattr__(self, "q_tilde", frozen)
+            object.__setattr__(self, "q_tilde", _frozen(self.q_tilde, np.int64))
 
 
 def _limit_rows(goals: GoalSpec, approx: np.ndarray, length: int) -> tuple[GoalTable, np.ndarray, np.ndarray]:
@@ -251,12 +251,12 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
 
     A goal at position i gives its table rows over wrm row i, with the
     current approximation value at i for a missing threshold.  Rows are
-    emitted in ascending position order, gathered from the operator in one call.
+    emitted in ascending position order, read off the operator in one call.
     """
     table, at, rhs = _limit_rows(goals, np.asarray(approx, dtype=np.float64), wrm.length)
     if not table.positions.size:
         raise ConfigurationError("goal set has no raise/lower/bound entries; masking would be a no-op")
-    return LinearProgram(wrm.rows(at + 1), np.where(table.at_least, ">=", "<=").tolist(), rhs)
+    return LinearProgram(wrm.row_entries(at + 1), wrm.shape[1], np.where(table.at_least, ">=", "<=").tolist(), rhs)
 
 
 def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:

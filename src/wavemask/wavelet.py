@@ -26,8 +26,8 @@ from .errors import ConfigurationError, DataError, ShapeError
 ATOL = 1e-12  # filter invariant tolerance
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+def _frozen(values: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 

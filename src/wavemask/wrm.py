@@ -2,9 +2,9 @@
 
 The transform is periodized, so column j of the operator is column 0 rolled
 down by j * 2**level.  Only column 0, the impulse response, is kept: O(m) to
-build and store.  Stacked rows are read from it (``rows(positions)``),
-products run the synthesis pyramid, and the dense matrix is built only on
-request (the `wrm` dump).
+build and store.  Rows are read off its support as non-zero entries
+(``row_entries``); dense rows and the dense matrix (the `wrm` dump) are their
+scatter, built on request.  Products run the synthesis pyramid.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .wavelet import FilterPair, _check_divisible, _frozen, reconstruct_component
@@ -34,11 +33,12 @@ class ReconstructionMatrix:
     def shape(self) -> tuple[int, int]:
         return self.length, self.length >> self.level
 
-    def rows(self, positions) -> np.ndarray:
-        """Read-only rows at 1-based positions, stacked in the given order.
+    def row_entries(self, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-zero (row, column, value) entries of the rows at 1-based positions, row-major.
 
-        Row i is a window of the reversed, doubled polyphase component
-        (i - 1) mod 2**level of the impulse, so no index array is built.
+        Row r is the row at positions[r].  Column j of the row at position i
+        is impulse[(i - 1 - j * 2**level) mod m]: each support point whose
+        offset from i - 1 is a multiple of 2**level gives one column.
         """
         index = np.asarray(positions)
         if index.size and index.dtype.kind not in "iu":
@@ -46,10 +46,16 @@ class ReconstructionMatrix:
         index = index.astype(np.int64) - 1
         if np.any((index < 0) | (index >= self.length)):
             raise ShapeError(f"row positions must lie in 1..{self.length}")
-        step, width = 1 << self.level, self.shape[1]
-        reversed_phases = self.impulse.reshape(width, step).T[:, ::-1]
-        windows = sliding_window_view(np.concatenate((reversed_phases, reversed_phases), axis=1), width, axis=1)
-        out = windows[index % step, width - 1 - index // step]
+        offset = np.sort((index[:, None] - np.flatnonzero(self.impulse)) % self.length, axis=1)
+        row, at = np.nonzero(offset % (1 << self.level) == 0)
+        offset = offset[row, at]
+        return row, offset >> self.level, self.impulse[(index[row] - offset) % self.length]
+
+    def rows(self, positions) -> np.ndarray:
+        """Read-only dense rows at 1-based positions, stacked in the given order: the scatter of ``row_entries``."""
+        row, column, value = self.row_entries(positions)
+        out = np.zeros((np.size(positions), self.shape[1]))
+        out[row, column] = value
         out.setflags(write=False)
         return out
 

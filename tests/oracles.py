@@ -103,7 +103,7 @@ def goal_rows_loop(wrm, approx, goals) -> LinearProgram:
     a_k = np.asarray(approx, dtype=np.float64)
     limits = [(index, *limit) for index, goal in active_goals(goals).items() for limit in _goal_limits(goal, a_k[index - 1])]
     positions, relations, rhs = zip(*limits)
-    return LinearProgram(wrm.rows(positions), relations, rhs)
+    return dense_lp(gather_rows(wrm, np.array(positions)), relations, rhs)
 
 
 def evaluate_goals_loop(new_approx, base_approx, goals, tol: float = GOAL_TOL) -> tuple:
@@ -125,6 +125,13 @@ def random_lowpass(rng) -> np.ndarray:
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
     c, s = np.cos(theta), np.sin(theta)
     return np.array([1 - c + s, 1 + c + s, 1 + c - s, 1 - c - s]) / (2.0 * np.sqrt(2.0))
+
+
+def dense_lp(coeffs, relations, rhs, objective=None, bounds=None) -> LinearProgram:
+    """The program with this dense coefficient matrix: its non-zero entries, row-major by ``np.nonzero``."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    rows, cols = np.nonzero(coeffs)
+    return LinearProgram((rows, cols, coeffs[rows, cols]), coeffs.shape[1], relations, rhs, objective, bounds)
 
 
 def with_bounds(lp: LinearProgram) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
@@ -395,7 +402,7 @@ def solve_each_block(lp: LinearProgram, mode: str = "feasibility", counts: dict 
         objective = None if lp.objective is None else Objective(costs[cols] if cols else [0.0], lp.objective.sense)
         block_counts: dict = {}
         solution = solve_full_width(
-            LinearProgram(part, [relations[row] for row in rows], rhs[rows], objective=objective), mode, block_counts
+            dense_lp(part, [relations[row] for row in rows], rhs[rows], objective=objective), mode, block_counts
         )
         if counts is not None:
             for key, value in block_counts.items():
@@ -433,7 +440,7 @@ def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
         relations.append(relation)
         limits.append(rhs)
     sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
-    return LinearProgram(
+    return dense_lp(
         np.array(rows),
         relations,
         limits,

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dense_lp,
+    gather_rows,
     max_violation_loop,
     phase1_cost_row_loop,
     random_lp,
@@ -26,7 +28,7 @@ from wavemask.wrm import build_wrm
 
 
 def test_single_variable_maximum():
-    lp = LinearProgram(
+    lp = dense_lp(
         [[1.0], [1.0]], ("<=", ">="), (1.0, 0.0),
         objective=Objective([1.0], "maximize"),
     )
@@ -37,12 +39,12 @@ def test_single_variable_maximum():
 
 
 def test_infeasible_status():
-    lp = LinearProgram([[1.0], [1.0]], ("<=", ">="), (0.0, 1.0))
+    lp = dense_lp([[1.0], [1.0]], ("<=", ">="), (0.0, 1.0))
     assert solve(lp).status == "infeasible"
 
 
 def test_unbounded_status():
-    lp = LinearProgram(
+    lp = dense_lp(
         [[1.0]], (">=",), (0.0,),
         objective=Objective([1.0], "maximize"),
     )
@@ -50,14 +52,14 @@ def test_unbounded_status():
 
 
 def test_equality_rows():
-    lp = LinearProgram([[1.0, 1.0], [1.0, -1.0]], ("=", "="), (2.0, 0.0))
+    lp = dense_lp([[1.0, 1.0], [1.0, -1.0]], ("=", "="), (2.0, 0.0))
     sol = solve(lp)
     assert sol.status == "feasible"
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
 
 def test_free_variables_can_go_negative():
-    lp = LinearProgram(
+    lp = dense_lp(
         [[1.0, 0.0], [0.0, 1.0]], ("<=", ">="), (-5.0, -2.0),
         objective=Objective([1.0, -1.0], "maximize"),
         bounds=((-10.0, 10.0), (-10.0, 10.0)),
@@ -69,7 +71,7 @@ def test_free_variables_can_go_negative():
 
 
 def test_bounds_are_honored_in_feasibility_mode():
-    lp = LinearProgram(
+    lp = dense_lp(
         [[1.0, 1.0]], (">=",), (3.0,),
         bounds=((0.0, 2.0), (0.0, 2.0)),
     )
@@ -80,7 +82,7 @@ def test_bounds_are_honored_in_feasibility_mode():
 
 def test_degenerate_instance_terminates():
     """Classic cycling example for naive pivoting; Bland's rule must finish."""
-    lp = LinearProgram(
+    lp = dense_lp(
         [
             [0.25, -60.0, -0.04, 9.0],
             [0.5, -90.0, -0.02, 3.0],
@@ -103,7 +105,7 @@ def test_exact_ratio_tie_leaves_lowest_basic_index():
     # Phase 1 meets an exact ratio tie between two rows.  Bland's rule lets
     # the row whose basic variable has the lower index leave, which ends at
     # the vertex (4, 7); letting the other row leave ends at (2, 3).
-    lp = LinearProgram(
+    lp = dense_lp(
         [[-1.0, 2.0], [-1.0, 1.0], [-2.0, -1.0], [2.0, -1.0]],
         (">=", "<=", "<=", ">="),
         (4.0, 3.0, 3.0, 1.0),
@@ -160,7 +162,7 @@ def test_worked_example_system_is_feasible():
     grid = wrm.entries @ a2
     positions = sorted(LOWER_POSITIONS + RAISE_POSITIONS)
     relations = ["<=" if i in LOWER_POSITIONS else ">=" for i in positions]
-    lp = LinearProgram(wrm.rows(positions), relations, grid[np.array(positions) - 1])
+    lp = LinearProgram(wrm.row_entries(positions), wrm.shape[1], relations, grid[np.array(positions) - 1])
 
     sol = solve(lp)
     assert sol.status == "feasible"
@@ -171,45 +173,62 @@ def test_worked_example_system_is_feasible():
 
 def test_validation_errors():
     with pytest.raises(ConfigurationError):
-        LinearProgram([[1.0, np.nan]], ("<=",), (0.0,))
+        dense_lp([[1.0, np.nan]], ("<=",), (0.0,))
     with pytest.raises(ConfigurationError):
-        LinearProgram([[1.0]], ("<=",), (np.inf,))
+        dense_lp([[1.0]], ("<=",), (np.inf,))
     with pytest.raises(ConfigurationError):
-        LinearProgram([[1.0]], ("!!",), (0.0,))
+        dense_lp([[1.0]], ("!!",), (0.0,))
     with pytest.raises(ConfigurationError):
         Objective([1.0], "biggest")
     with pytest.raises(ConfigurationError):
-        LinearProgram([[1.0]], ("<=",), (0.0,), objective=Objective([1.0, 2.0], "maximize"))
+        dense_lp([[1.0]], ("<=",), (0.0,), objective=Objective([1.0, 2.0], "maximize"))
     with pytest.raises(ConfigurationError):
-        LinearProgram(np.zeros((0, 1)), (), (), bounds=((0.0, 1.0), (0.0, 1.0)))
+        dense_lp(np.zeros((0, 1)), (), (), bounds=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ConfigurationError, match="relations"):
-        LinearProgram([[1.0], [2.0]], ("<=",), (0.0, 1.0))
+        dense_lp([[1.0], [2.0]], ("<=",), (0.0, 1.0))
     with pytest.raises(ConfigurationError, match="rhs"):
-        LinearProgram([[1.0], [2.0]], ("<=", ">="), (0.0,))
-    with pytest.raises(ConfigurationError, match="2-D"):
-        LinearProgram([1.0, 2.0], ("<=",), (0.0,))
+        dense_lp([[1.0], [2.0]], ("<=", ">="), (0.0,))
     with pytest.raises(ConfigurationError, match="column"):
-        LinearProgram(np.zeros((1, 0)), ("<=",), (0.0,))
-    lp = LinearProgram([[1.0]], (">=",), (0.0,))
+        dense_lp(np.zeros((1, 0)), ("<=",), (0.0,))
+    entries = (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 2.0, 3.0]))
+    assert LinearProgram(entries, 2, ("<=", "<="), (0.0, 0.0)).coeffs.tolist() == [[1.0, 2.0], [0.0, 3.0]]
+    for rows, cols, values, message in (
+        ([0, 0, 1], [0, 1], [1.0, 2.0, 3.0], "1-D"),
+        ([[0, 0, 1]], [[0, 1, 1]], [[1.0, 2.0, 3.0]], "1-D"),
+        ([0, 0, 2], [0, 1, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 0, 1], [0, 1, -1], [1.0, 2.0, 3.0], "row-major"),
+        ([-1, 0, 1], [1, 1, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 1, 0], [0, 1, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 0, 1], [1, 0, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 0, 1], [1, 1, 1], [1.0, 2.0, 3.0], "row-major"),
+        ([0, 0, 1], [0, 1, 1], [1.0, np.inf, 3.0], "finite and non-zero"),
+        ([0, 0, 1], [0, 1, 1], [1.0, -0.0, 3.0], "finite and non-zero"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            LinearProgram((rows, cols, values), 2, ("<=", "<="), (0.0, 0.0))
+    lp = dense_lp([[1.0]], (">=",), (0.0,))
     with pytest.raises(ConfigurationError):
         solve(lp, mode="fastest")
     with pytest.raises(ConfigurationError):
         solve(lp, mode="optimize")
 
 
-def test_coeffs_are_read_only_and_shared_only_when_owned():
+def test_entries_are_read_only_copies():
     wrm = build_wrm(64, 2, make_filter("daubechies", 2))
-    rows = wrm.rows([3, 1, 7])
-    lp = LinearProgram(rows, (">=", "<=", ">="), (1.0, 2.0, 3.0))
-    assert lp.coeffs is rows  # goal rows are stored without a second copy
-    mutable = np.ones((2, 3))
-    view = mutable.view()
-    view.setflags(write=False)
-    for source in (mutable, view):
-        lp = LinearProgram(source, ("<=", "<="), (0.0, 0.0))
-        assert not lp.coeffs.flags.writeable and not np.shares_memory(lp.coeffs, mutable)
-    mutable[0, 0] = 5.0
-    assert lp.coeffs[0, 0] == 1.0
+    entries = wrm.row_entries([3, 1, 7])
+    lp = LinearProgram(entries, wrm.shape[1], (">=", "<=", ">="), (1.0, 2.0, 3.0))
+    assert lp.coeffs.tobytes() == gather_rows(wrm, np.array([3, 1, 7])).tobytes()
+    assert [part.dtype for part in lp.entries] == [np.intp, np.intp, np.float64]
+    for stored, source in zip(lp.entries, entries):
+        assert not stored.flags.writeable and not np.shares_memory(stored, source)
+    mutable = (np.array([0, 1]), np.array([2, 0]), np.array([1.0, -1.0]))
+    lp = LinearProgram(mutable, 3, ("<=", "<="), (0.0, 0.0))
+    for stored, source in zip(lp.entries, mutable):
+        assert not stored.flags.writeable and not np.shares_memory(stored, source)
+    mutable[2][0] = 5.0
+    assert lp.entries[2][0] == 1.0 and lp.coeffs[0, 2] == 1.0
+    assert not lp.coeffs.flags.writeable
 
 
 def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
@@ -236,7 +255,7 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
     bounds = None
     if rng.random() < 0.4:
         bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
-    lp = LinearProgram(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
+    lp = dense_lp(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
     in_rows = np.any(with_bounds(lp)[0] != 0.0, axis=0)
     return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
 
@@ -307,10 +326,10 @@ def trap(rng) -> LinearProgram:
     """
     objective = Objective([float(rng.uniform(-1.0, 1.0))], "maximize")
     if rng.random() < 0.5:
-        return LinearProgram([[1.0]], (">=",), (2.0**30,), objective=objective)
+        return dense_lp([[1.0]], (">=",), (2.0**30,), objective=objective)
     tiny = float(rng.uniform(0.5, 1.0)) * PIVOT_TOL
     rhs = (0.0, 1e-8, 1.0)[int(rng.integers(0, 3))]
-    return LinearProgram([[tiny], [tiny]], (">=", "="), (rhs, rhs), objective=objective)
+    return dense_lp([[tiny], [tiny]], (">=", "="), (rhs, rhs), objective=objective)
 
 
 def stacked_lp(rng) -> tuple[LinearProgram, str]:
@@ -331,7 +350,7 @@ def stacked_lp(rng) -> tuple[LinearProgram, str]:
         part = random_lp_with_gaps(rng)[0]
         part = replace(part, objective=Objective(part.objective.coeffs, sense))
         if rng.random() < 0.5:
-            part = replace(part, coeffs=np.round(part.coeffs), rhs=np.round(part.rhs))
+            part = dense_lp(np.round(part.coeffs), part.relations, np.round(part.rhs), part.objective, part.bounds)
         if allowed is None or solve_full_width(part, mode).status in allowed:
             parts.append(part)
     nrows = [part.rhs.size for part in parts]
@@ -344,7 +363,7 @@ def stacked_lp(rng) -> tuple[LinearProgram, str]:
     costs = np.concatenate([part.objective.coeffs for part in parts])
     bounds = [side for part in parts for side in (part.bounds or ((None, None),) * part.num_vars)]
     rows, cols = rng.permutation(rhs.size), rng.permutation(costs.size)
-    lp = LinearProgram(
+    lp = dense_lp(
         coeffs[rows][:, cols],
         relations[rows].tolist(),
         rhs[rows],
@@ -403,7 +422,7 @@ def test_phase1_cost_row_matches_row_loop(monkeypatch):
 
 
 def test_max_violation_matches_row_loop():
-    """One matrix-vector product sums rows in another order: agreement to a few ulp of the row's terms."""
+    """Row sums over the entries run in another order than the loop's: agreement to a few ulp of the row's terms."""
     rng = np.random.default_rng(77)
     checked = 0
     for _ in range(400):
@@ -426,7 +445,7 @@ def test_many_one_row_blocks_are_feasible():
     """
     for seed in range(8):
         rhs = 1e5 + np.random.default_rng(seed).uniform(-1.0, 1.0, 1000)
-        sol = solve(LinearProgram(np.eye(rhs.size), (">=",) * rhs.size, rhs))
+        sol = solve(dense_lp(np.eye(rhs.size), (">=",) * rhs.size, rhs))
         assert sol.status == "feasible", seed
         assert sol.x.tolist() == rhs.tolist() and sol.pivots == rhs.size
 
@@ -457,10 +476,9 @@ def test_boxed_goal_lp_at_m_16384_is_optimal():
 def test_bounds_take_no_dense_rows():
     """4096 columns boxed to +-10 and one goal row: solve allocates far less than 8192 dense unit rows (256 MiB)."""
     n = 4096
-    coeffs = np.zeros((1, n))
-    coeffs[0, :3] = (1.0, -2.0, 1.0)
     lp = LinearProgram(
-        coeffs, ("<=",), (5.0,), objective=Objective(np.ones(n), "minimize"), bounds=((-10.0, 10.0),) * n
+        ([0, 0, 0], [0, 1, 2], [1.0, -2.0, 1.0]), n, ("<=",), (5.0,),
+        objective=Objective(np.ones(n), "minimize"), bounds=((-10.0, 10.0),) * n,
     )
     tracemalloc.start()
     try:
@@ -470,3 +488,22 @@ def test_bounds_take_no_dense_rows():
         tracemalloc.stop()
     assert sol.status == "optimal" and sol.objective_value == -40960.0
     assert peak < 64 * 2**20
+
+
+def test_north_star_goal_lp_takes_no_dense_rows():
+    """m = 65536, level 2, 256 goals: building and solving the goal LP peaks under 2 MiB, not at 256 dense rows (32 MiB)."""
+    workloads = bench_workloads()
+    rng = np.random.default_rng(65536)
+    q = workloads.skewed_counts(rng, 65536).astype(np.float64)
+    goals = GoalSpec.from_entries(workloads.goal_entries(rng, q.size, 256))
+    filters = make_filter("daubechies", 2)
+    wrm = build_wrm(q.size, 2, filters)
+    base = wrm.apply(decompose(q, filters, 2).approx)
+    tracemalloc.start()
+    try:
+        sol = solve(build_constraints(wrm, base, goals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "feasible"
+    assert peak < 2 * 2**20

@@ -18,6 +18,7 @@ from refdata import (
     RAISE_POSITIONS,
     worked_goal_entries,
 )
+from wavemask import masking
 from wavemask.errors import ConfigurationError, DataError, MaskingError
 from wavemask.lp import Objective, max_violation, solve
 from wavemask.masking import (
@@ -26,6 +27,7 @@ from wavemask.masking import (
     GoalCheck,
     GoalSpec,
     MaskingConfig,
+    _position,
     assemble_masked_signal,
     build_constraints,
     evaluate_goals,
@@ -62,6 +64,16 @@ def test_goal_validation():
         GoalSpec(by_index={0: Goal(kind="raise")})
     with pytest.raises(ConfigurationError):
         GoalSpec.from_entries([{"index": 1, "goal": "lower"}, {"index": 1, "goal": "raise"}])
+    with pytest.raises(ConfigurationError, match="goal entry 1: duplicate index 1$"):
+        GoalSpec.from_entries([{"index": 1, "goal": "lower"}, {"index": 1.0, "goal": "raise"}])
+
+
+def test_from_entries_validates_each_index_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(masking, "_position", lambda index: seen.append(index) or _position(index))
+    spec = GoalSpec.from_entries([{"index": 3.0, "goal": "raise"}, {"index": 1, "goal": "lower"}])
+    assert seen == [3.0, 1]
+    assert list(spec.by_index) == [3, 1] and all(type(index) is int for index in spec.by_index)
 
 
 def test_evaluate_goals_case_table():

@@ -94,23 +94,35 @@ def test_row_positions_must_be_integers():
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_rows_match_modulo_gather_bitwise(order):
-    """Stacked rows equal impulse[(i - 1 - j * 2**level) mod m] to the bit, in any position order."""
+    """Rows equal impulse[(i - 1 - j * 2**level) mod m] to the bit, in any position order, and
+    ``row_entries`` are their non-zeros, row-major, down to the value bits.
+
+    Lengths run from 2**level (one column) to 256 * 2**level, and the
+    shortest wrap the impulse's support around the rows.  No impulse holds
+    -0.0, so a dense row rebuilt from the entries has the gathered row's bytes.
+    """
     filters = make_filter("daubechies", order)
     rng = np.random.default_rng(order)
     cases = 0
     for level in range(1, 7):
-        for length in sorted({2 << level, 3 << level, 5 << level, 16 << level, 4096}):
+        for length in sorted({1 << level, 2 << level, 3 << level, 5 << level, 16 << level, 256 << level, 4096}):
             wrm = build_wrm(length, level, filters)
-            for chunk in np.array_split(np.arange(1, length + 1), -(-length // 256)):
-                assert wrm.rows(chunk).tobytes() == gather_rows(wrm, chunk).tobytes()
+            assert not np.any(np.signbit(wrm.impulse) & (wrm.impulse == 0.0))
             positions = rng.integers(1, length + 1, size=min(length, 128))
             positions = np.append(positions, positions[::3])  # unsorted, with repeats
-            assert wrm.rows(positions).tobytes() == gather_rows(wrm, positions).tobytes()
+            every_row = np.array_split(np.arange(1, length + 1), -(-length // 256)) if length <= 4096 else []
+            for chunk in [*every_row, positions]:
+                want = gather_rows(wrm, chunk)
+                assert wrm.rows(chunk).tobytes() == want.tobytes()
+                row, column = np.nonzero(want)
+                got_row, got_column, got_value = wrm.row_entries(chunk)
+                assert got_row.tolist() == row.tolist() and got_column.tolist() == column.tolist()
+                assert got_value.tobytes() == want[row, column].tobytes()
             for outside in (0, length + 1):
                 with pytest.raises(ShapeError):
                     wrm.rows(np.append(positions, outside))
             cases += 1
-    assert cases == 30
+    assert cases == 41
 
 
 def test_shape_errors():
