@@ -297,6 +297,10 @@ def assemble_masked_signal(
     Reassembly adds the untouched detail bands, shifts everything by a
     non-negativity offset, then rescales so the total matches the original.
     """
+    return MaskingResult(**_reassembled(q, dec, new_coeffs, config, wrm))
+
+
+def _reassembled(q, dec: Decomposition, new_coeffs, config: MaskingConfig, wrm: ReconstructionMatrix | None) -> dict:
     q = as_signal(q)
     if wrm is None:
         wrm = build_wrm(dec.length, dec.level, dec.filters)
@@ -323,7 +327,7 @@ def assemble_masked_signal(
     if total <= 0.0:
         raise MaskingError("degenerate scale: shifted signal sums to zero")
     scale = q.sum() / total
-    return MaskingResult(
+    return dict(
         q=q,
         decomposition=dec,
         wrm=wrm,
@@ -401,7 +405,7 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     base_approx = wrm.apply(dec.approx)
     lp = build_constraints(wrm, base_approx, config.goals)
     new_coeffs = solve_approximation(lp, config)
-    result = assemble_masked_signal(q, dec, new_coeffs, config, wrm=wrm)
-    q_tilde = round_and_repair(result.q_scaled, int(round(q.sum())), config.sum_repair)
-    report = evaluate_goals(result.new_approx, base_approx, config.goals)
-    return replace(result, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)
+    parts = _reassembled(q, dec, new_coeffs, config, wrm)
+    q_tilde = round_and_repair(parts["q_scaled"], int(round(q.sum())), config.sum_repair)
+    report = evaluate_goals(parts["new_approx"], base_approx, config.goals)
+    return MaskingResult(**parts, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)

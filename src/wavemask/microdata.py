@@ -7,16 +7,16 @@ the masking pipeline works on.  After masking, the file is rewritten by
 reassigning the parameter value of randomly chosen surplus records so the
 recount equals the masked signal exactly.
 
-Cost model: one csv pass loads the rows as the table's own tuples; the table
-checks run as C-level ``map``/``set`` passes, copying cells only when one is
-not a ``str``; eligibility is one dict lookup per record; a rewrite shares
-every unmoved row with its source and copies only the moved rows.
+Cost model: csv rows load into a list first (a tuple grown from an iterator is
+re-walked by every young garbage collection); C-level checks (``map``/``set``,
+``str.join`` per row) copy cells only when one is not a ``str``; eligibility is
+one dict lookup per record, once per table and selection, kept on the table.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
-import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -36,12 +36,16 @@ class MicrofileTable:
 
     def __post_init__(self):
         attributes, records = tuple(self.attributes), tuple(self.records)
-        cells = itertools.chain(attributes, itertools.chain.from_iterable(records))
-        if set(map(type, records)) - {tuple} or set(map(type, cells)) - {str}:
+        try:
+            if set(map(type, records)) - {tuple} or set(map(type, attributes)) - {str}:
+                raise TypeError("rows must be tuples and names exact str")
+            collections.deque(map("".join, records), maxlen=0)  # str.join rejects a non-str cell, in C
+        except TypeError:
             attributes = tuple(map(str, attributes))
-            records = tuple(tuple(map(str, row)) for row in records)
+            records = tuple([tuple(map(str, row)) for row in records])
         object.__setattr__(self, "attributes", attributes)
         object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_eligible", {})  # rows per SelectionSpec; not a field, so ==, hash, repr ignore it
         if len(set(attributes)) != len(attributes):
             raise DataError("attribute names must be unique")
         width = len(attributes)
@@ -111,9 +115,12 @@ class ModificationPlan:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(Move(*m) for m in self.moves))
+        object.__setattr__(self, "moves", tuple([Move(*m) for m in self.moves]))
         seen = set()
         for move in self.moves:
+            if isinstance(move.record, bool) or not isinstance(move.record, (int, np.integer)) \
+                    or not isinstance(move.old_value, str) or not isinstance(move.new_value, str):
+                raise DataError(f"malformed {move!r}: needs an integer record and str values")
             if move.record in seen:
                 raise DataError(f"record {move.record} appears in more than one move")
             seen.add(move.record)
@@ -123,16 +130,17 @@ def load_csv(source, delimiter: str = ",", has_header: bool = True) -> Microfile
     """Read a delimited text file into a table, cells kept verbatim."""
     try:
         with open(source, encoding="utf-8", newline="") as handle:
-            rows = tuple(map(tuple, csv.reader(handle, delimiter=delimiter)))
+            reader = csv.reader(handle, delimiter=delimiter)
+            first, records = next(reader, None), tuple(list(map(tuple, reader)))
     except UnicodeDecodeError as exc:
         raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
+    if first is None:
         raise DataError(f"{source}: empty file")
     if has_header:
-        attributes, records = rows[0], rows[1:]
+        attributes = tuple(first)
     else:
-        attributes = tuple(f"col_{i}" for i in range(1, len(rows[0]) + 1))
-        records = rows
+        attributes = tuple(f"col_{i}" for i in range(1, len(first) + 1))
+        records = (tuple(first), *records)
     width, first_line = len(attributes), 2 if has_header else 1
     if not set(map(len, records)) <= {width}:
         number, row = next((n, row) for n, row in enumerate(records, start=first_line) if len(row) != width)
@@ -148,8 +156,12 @@ def write_csv(table: MicrofileTable, sink, delimiter: str = ",") -> None:
         writer.writerows(table.records)
 
 
-def _eligible_rows(table: MicrofileTable, spec: SelectionSpec) -> list[list[int]]:
-    """Indices of the vital-matching records, one list per listed parameter value."""
+def _eligible_rows(table: MicrofileTable, spec: SelectionSpec) -> tuple[tuple[int, ...], ...]:
+    """Indices of the vital-matching records, one tuple per listed parameter value; one scan per table and spec."""
+    return table._eligible.get(spec) or table._eligible.setdefault(spec, _scan_eligible(table, spec))
+
+
+def _scan_eligible(table: MicrofileTable, spec: SelectionSpec) -> tuple[tuple[int, ...], ...]:
     param_col = table.column_index(spec.parameter_attribute)
     key = operator.itemgetter(*(table.column_index(a) for a in spec.vital_attributes), param_col)
     slot_of = {(*spec.vital_combination, value): i for i, value in enumerate(spec.parameter_values)}
@@ -157,7 +169,7 @@ def _eligible_rows(table: MicrofileTable, spec: SelectionSpec) -> list[list[int]
     for index, slot in enumerate(map(slot_of.get, map(key, table.records))):
         if slot is not None:
             rows[slot].append(index)
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def extract_quantity_signal(table: MicrofileTable, spec: SelectionSpec) -> np.ndarray:
@@ -192,8 +204,7 @@ def plan_resynthesis(
     if q.sum() != q_tilde.sum():
         raise MaskingError(f"count totals differ: {q.sum()} vs {q_tilde.sum()}; no rewrite can reconcile them")
 
-    eligible = _eligible_rows(table, spec)
-    actual = np.array([len(rows) for rows in eligible], dtype=np.int64)
+    actual = extract_quantity_signal(table, spec)
     if not np.array_equal(actual, q):
         raise DataError(f"supplied counts {q.tolist()} do not match the table recount {actual.tolist()}")
 
@@ -202,7 +213,7 @@ def plan_resynthesis(
     deficit = {i: int(q_tilde[i] - q[i]) for i in range(m) if q_tilde[i] > q[i]}
     pools: dict[int, list[int]] = {}
     for area in sorted(surplus):
-        pools[area] = rng.sample(eligible[area], surplus[area])
+        pools[area] = rng.sample(_eligible_rows(table, spec)[area], surplus[area])
 
     moves: list[Move] = []
     while deficit:

@@ -6,15 +6,38 @@ time, independent of the vectorized code under test.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from wavemask.errors import ConfigurationError, MaskingError
 from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objective, max_violation
-from wavemask.masking import GOAL_TOL, GoalCheck, round_half_away
+from wavemask.masking import (
+    GOAL_TOL,
+    GoalCheck,
+    assemble_masked_signal,
+    build_constraints,
+    evaluate_goals,
+    round_and_repair,
+    round_half_away,
+    solve_approximation,
+)
 from wavemask.microdata import MicrofileTable, Move
+from wavemask.wavelet import as_signal, decompose
+from wavemask.wrm import build_wrm
+
+
+def bench_workloads():
+    """The benchmark's input generators, ``bench/workloads.py``."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def analysis_matrix(filt, m: int) -> np.ndarray:
@@ -55,6 +78,20 @@ def reconstruct_component_add_at(coeffs, kind: str, level: int, filters) -> np.n
     for _ in range(level - 1):
         out = synthesis_step_add_at(out, filters.lowpass)
     return out
+
+
+def mask_signal_two_results(q, config):
+    """``mask_signal`` as it was built before: ``assemble_masked_signal``'s result, then a ``replace`` adding the rest."""
+    q = as_signal(q)
+    filters = config.filters()
+    dec = decompose(q, filters, config.level)
+    wrm = build_wrm(dec.length, dec.level, filters)
+    base_approx = wrm.apply(dec.approx)
+    lp = build_constraints(wrm, base_approx, config.goals)
+    result = assemble_masked_signal(q, dec, solve_approximation(lp, config), config, wrm=wrm)
+    q_tilde = round_and_repair(result.q_scaled, int(round(q.sum())), config.sum_repair)
+    report = evaluate_goals(result.new_approx, base_approx, config.goals)
+    return replace(result, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)
 
 
 def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:

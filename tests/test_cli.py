@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from refdata import OFFSET, Q16, QTILDE_PRINTED, worked_goal_entries
+from wavemask import microdata
 from wavemask.cli import main
 from wavemask.microdata import MicrofileTable, load_csv, write_csv
 from wavemask.wavelet import make_filter, read_signal
@@ -192,7 +193,7 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_mask_microfile_end_to_end(tmp_path):
+def test_mask_microfile_end_to_end(tmp_path, monkeypatch):
     records = [("1", "A")] * 6 + [("1", "B"), ("1", "C"), ("0", "A"), ("0", "D")]
     table = MicrofileTable(attributes=("mil", "area"), records=tuple(records))
     source = tmp_path / "people.csv"
@@ -206,7 +207,12 @@ def test_mask_microfile_end_to_end(tmp_path):
             "--parameter-values", "A,B,C,D", "--goals", str(goals),
             "--wavelet", "haar", "--level", "1", "--seed", "3",
             "--report", str(report)]
+    scans = []
+    scan = microdata._scan_eligible
+    monkeypatch.setattr(microdata, "_scan_eligible", lambda table, spec: scans.append(len(table)) or scan(table, spec))
     assert main(argv) == 0
+    # extract and plan share one eligibility scan of the loaded table
+    assert scans == [10]
 
     payload = json.loads(report.read_text())
     assert payload["command"] == "mask-microfile"

@@ -1,14 +1,13 @@
 """Two-phase simplex: statuses, feasibility guarantees, oracle agreement."""
 
-import importlib.util
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import (
+    bench_workloads,
     dense_lp,
     gather_rows,
     max_violation_loop,
@@ -258,15 +257,6 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
     lp = dense_lp(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
     in_rows = np.any(with_bounds(lp)[0] != 0.0, axis=0)
     return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
-
-
-def bench_workloads():
-    """The benchmark's input generators, ``bench/workloads.py``."""
-    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", source)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def goal_lps(workload: str, indices):

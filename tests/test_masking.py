@@ -1,12 +1,21 @@
 """Goal constraints, coefficient replacement, reassembly, rounding, repair."""
 
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import active_goals, evaluate_goals_loop, goal_rows_loop, round_and_repair_loop
+import wavemask
+from oracles import (
+    active_goals,
+    bench_workloads,
+    evaluate_goals_loop,
+    goal_rows_loop,
+    mask_signal_two_results,
+    round_and_repair_loop,
+)
 from refdata import (
     A2_HAT,
     C_RANGE,
@@ -27,6 +36,7 @@ from wavemask.masking import (
     GoalCheck,
     GoalSpec,
     MaskingConfig,
+    MaskingResult,
     _position,
     assemble_masked_signal,
     build_constraints,
@@ -467,6 +477,39 @@ def test_mask_signal_deterministic():
     second = mask_signal(Q16, config)
     assert np.array_equal(first.new_coeffs, second.new_coeffs)
     assert np.array_equal(first.q_tilde, second.q_tilde)
+
+
+def same_bits(a, b) -> bool:
+    """Equal type and value, arrays and floats compared byte for byte, through dataclasses and tuples."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def test_mask_signal_builds_one_result(monkeypatch):
+    calls = []
+    post_init = MaskingResult.__post_init__
+    monkeypatch.setattr(MaskingResult, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    mask_signal(Q16, MaskingConfig(goals=WORKED_GOALS))
+    assert len(calls) == 1
+
+
+def test_mask_signal_matches_two_result_build():
+    """Every field bit for bit as assemble_masked_signal + replace gave it, on signal-wide seed 1 ops 0-99."""
+    workloads = bench_workloads()
+    workload = workloads.WORKLOADS["signal-wide"]
+    for index in range(100):
+        q, config = workload.prepare(wavemask, workload.make(1, workloads.STREAM_TIMED, index, None))
+        got, want = mask_signal(q, config), mask_signal_two_results(q, config)
+        assert same_bits(got, want), index
 
 
 def test_config_validation():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import plan_moves_pop0, random_table
+from wavemask import microdata
 from wavemask.errors import ConfigurationError, DataError, MaskingError
 from wavemask.microdata import (
     MicrofileTable,
+    _eligible_rows,
     ModificationPlan,
     Move,
     SelectionSpec,
@@ -51,6 +53,36 @@ def test_table_coerces_non_str_cells():
     assert all(type(row) is tuple for row in listed.records)
 
 
+@pytest.mark.parametrize("attributes, records", [
+    (("a", "b"), ((1, "x"), ("2", "y"))),
+    (("a", "b"), (("1", 2.5), ("3", "4"))),
+    (("a", "b"), (("1", "2"), (None, "4"))),
+    (("a", "b"), (("1", "2"), ("3", b"x"))),
+    ((1, "b"), (("1", "2"),)),
+    (("a", "b"), (("1", "2"), ["3", "4"])),
+    (["a", "b"], [("1", "2")]),
+    (("a", "b"), ()),
+])
+def test_table_coercion_matches_str_copy(attributes, records):
+    """Any non-str cell, non-str name or non-tuple row copies every cell through str(), as before."""
+    table = MicrofileTable(attributes, records)
+    assert table.attributes == tuple(map(str, attributes))
+    assert table.records == tuple(tuple(map(str, row)) for row in records)
+    assert all(type(name) is str for name in table.attributes)
+    assert all(type(row) is tuple and all(type(cell) is str for cell in row) for row in table.records)
+
+
+def test_table_keeps_str_subclass_cells():
+    class Code(str):
+        pass
+
+    code = Code("06010")
+    table = MicrofileTable(("mil", "area"), (("1", code),))
+    assert table.records[0][1] is code
+    # names are still copied unless exactly str
+    assert type(MicrofileTable((Code("mil"),), ()).attributes[0]) is str
+
+
 def test_table_ragged_record_named():
     with pytest.raises(DataError, match="record 2 has 1 cells, expected 2"):
         MicrofileTable(("a", "b"), (("1", "2"), ("3",), ("5", "6")))
@@ -58,6 +90,8 @@ def test_table_ragged_record_named():
         MicrofileTable(("a", "b"), (("1", "2"), ("3", "4"), ("5", "6", "7")))
     with pytest.raises(DataError, match="record 1 has 0 cells, expected 2"):
         MicrofileTable(("a", "b"), ((),))
+    with pytest.raises(DataError, match="record 2 has 1 cells, expected 2"):
+        MicrofileTable(("a", "b"), ((1, 2), (3,)))
 
 
 def test_selection_validation():
@@ -183,6 +217,31 @@ def test_extract_ignores_unlisted_values():
     assert extract_quantity_signal(table, MIL_AREAS).tolist() == [1, 1]
 
 
+def test_eligible_rows_scanned_once_per_selection(monkeypatch):
+    scans = []
+    scan = microdata._scan_eligible
+    monkeypatch.setattr(microdata, "_scan_eligible", lambda table, spec: scans.append(spec) or scan(table, spec))
+    table = small_table()
+    rows = _eligible_rows(table, MIL_AREAS)
+    assert rows == ((0, 1), (3,))
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+    assert _eligible_rows(table, MIL_AREAS) is rows
+    assert extract_quantity_signal(table, MIL_AREAS).tolist() == [2, 1]
+    assert scans == [MIL_AREAS]
+
+    civil = SelectionSpec(("mil",), ("0",), "area", ("A", "B"))
+    assert _eligible_rows(table, civil) == ((2,), ())
+    assert _eligible_rows(table, MIL_AREAS) is rows
+    assert scans == [MIL_AREAS, civil]
+    # the cache is no field: equality, hash and repr still read the cells alone
+    assert table == small_table() and hash(table) == hash(small_table()) and repr(table) == repr(small_table())
+
+    # a q that does not match the cached recount is still refused
+    with pytest.raises(DataError, match="do not match the table recount"):
+        plan_resynthesis(table, MIL_AREAS, [1, 2], [2, 1], seed=0)
+    assert len(scans) == 2
+
+
 def test_extract_unknown_attribute():
     spec = SelectionSpec(("service",), ("1",), "area", ("A", "B"))
     with pytest.raises(ConfigurationError):
@@ -219,6 +278,25 @@ def test_plan_validation():
         plan_resynthesis(small_table(), MIL_AREAS, [2, 1], [4, -1], seed=0)
     with pytest.raises(DataError):
         ModificationPlan("area", (Move(1, "A", "B"), Move(1, "A", "C")), seed=0)
+
+
+@pytest.mark.parametrize("move", [
+    Move(1.0, "A", "B"),
+    Move("1", "A", "B"),
+    Move(True, "A", "B"),
+    Move(np.bool_(True), "A", "B"),
+    Move(1, "A", 2),
+    Move(1, None, "B"),
+])
+def test_plan_rejects_malformed_moves(move):
+    with pytest.raises(DataError, match="malformed Move") as caught:
+        ModificationPlan("area", (Move(0, "A", "B"), move), seed=0)
+    assert repr(move) in str(caught.value)
+
+
+def test_plan_accepts_numpy_integer_records():
+    plan = ModificationPlan("area", (Move(np.int64(1), "A", "B"),), seed=0)
+    assert apply_plan(small_table(), plan).records[1] == ("1", "B")
 
 
 def test_plan_same_seed_same_plan():
