@@ -121,7 +121,8 @@ def _delimiter(eff: dict) -> str:
     return value
 
 
-def _masking_config(eff: dict) -> MaskingConfig:
+def _masking_config(eff: dict) -> tuple[MaskingConfig, int]:
+    """The masking options, and the --seed for record selection and the report."""
     goals = GoalSpec.from_entries(_load_goal_entries(_require(eff, "goals", "--goals")))
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     offset = _parse_offset(eff.get("offset"))
@@ -139,8 +140,7 @@ def _masking_config(eff: dict) -> MaskingConfig:
         fixed_offset=offset,
         override_coeffs=_parse_override(eff.get("override_coeffs")),
         sum_repair=repair,
-        rng_seed=_number(_get(eff, "seed", 0), int, "--seed"),
-    )
+    ), _number(_get(eff, "seed", 0), int, "--seed")
 
 
 def _with_limits(item: dict, **limits) -> dict:
@@ -149,7 +149,7 @@ def _with_limits(item: dict, **limits) -> dict:
     return item
 
 
-def _report_payload(result: MaskingResult, config: MaskingConfig) -> dict:
+def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> dict:
     dec = result.decomposition
     original = float(result.q.sum())
     scaled = float(result.q_scaled.sum())
@@ -160,7 +160,7 @@ def _report_payload(result: MaskingResult, config: MaskingConfig) -> dict:
         "options": {
             "offset": "auto" if config.fixed_offset is None else _sig12(config.fixed_offset),
             "sum_repair": config.sum_repair,
-            "seed": config.rng_seed,
+            "seed": seed,
             "override": config.override_coeffs is not None,
         },
         "q": _vec(result.q),
@@ -238,13 +238,13 @@ def _selection(eff: dict) -> SelectionSpec:
 
 def _cmd_mask_signal(eff: dict) -> int:
     q = read_signal(_require(eff, "input", "--input"))
-    config = _masking_config(eff)
+    config, seed = _masking_config(eff)
     result = mask_signal(q, config)
     write_signal(_require(eff, "output", "--output"), result.q_tilde)
     if eff.get("scaled_output"):
         write_signal(eff["scaled_output"], result.q_scaled)
     if eff.get("report"):
-        payload = _report_payload(result, config)
+        payload = _report_payload(result, config, seed)
         payload["command"] = "mask-signal"
         _write_report(eff["report"], payload)
     return EXIT_OK
@@ -255,15 +255,15 @@ def _cmd_mask_microfile(eff: dict) -> int:
     table = load_csv(_require(eff, "input", "--input"), delimiter=delimiter)
     spec = _selection(eff)
     q = extract_quantity_signal(table, spec)
-    config = _masking_config(eff)
+    config, seed = _masking_config(eff)
     if not config.sum_repair:
         raise ConfigurationError("mask-microfile needs sum repair on: record totals must match exactly")
     result = mask_signal(q, config)
-    plan = plan_resynthesis(table, spec, q, result.q_tilde, seed=config.rng_seed)
+    plan = plan_resynthesis(table, spec, q, result.q_tilde, seed=seed)
     masked = apply_plan(table, plan)
     write_csv(masked, _require(eff, "output", "--output"), delimiter=delimiter)
     if eff.get("report"):
-        payload = _report_payload(result, config)
+        payload = _report_payload(result, config, seed)
         payload["command"] = "mask-microfile"
         payload["microfile"] = {
             "records": len(table),

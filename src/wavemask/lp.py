@@ -6,7 +6,8 @@ per column, e.g. 256 goal rows of a few entries over 512 coefficients, plus
 optional box bounds: each side that is set is a unit row after the matrix's
 rows, held as its one entry.  Bland's rule, free variables split into
 positive parts, float64 arithmetic; untouched columns come back as 0;
-infeasible and unbounded are statuses.
+infeasible and unbounded are statuses.  A system with an objective is
+optimized; one without stops at its first basic feasible point.
 
 Rows sharing a touched column, directly or through other rows, form a block;
 a goal LP has many small ones.  Blocks share no row and no column, so each
@@ -251,8 +252,10 @@ class _Blocks:
             lanes = np.arange(live.size)
             ratios = np.full(positive.shape, np.inf)
             np.divide(np.maximum(t[live, :-1, -1], 0.0), column[:, :-1], out=ratios, where=positive)
-            # exact ratio ties go to the lowest basic index
-            leaving = np.lexsort((np.where(positive, basis[live], t.shape[2]), ratios), axis=1)[:, 0]
+            # exact ratio ties go to the lowest basic index; only a positive entry's row
+            # may leave, even if every ratio overflowed to inf
+            tied = positive & (ratios == ratios.min(axis=1, keepdims=True))
+            leaving = np.where(tied, basis[live], t.shape[2]).argmin(axis=1)
             pivot_row = t[live, leaving] / column[lanes, leaving][:, None]
             column[lanes, leaving] = 0.0  # the pivot row is not updated by itself
             lane, row = np.divmod(np.flatnonzero(column), column.shape[1])
@@ -293,23 +296,18 @@ class _Blocks:
         return full[self.col_block, self.col_local] - full[self.col_block, self.width + self.col_local]
 
 
-def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
-    """Solve the program; feasibility mode stops at the first basic feasible point.
+def solve(lp: LinearProgram) -> LpSolution:
+    """Optimize ``lp.objective`` when it is set; without one, stop at the first basic feasible point.
 
     Deterministic: identical inputs produce identical solutions.
     """
-    if mode not in ("feasibility", "optimize"):
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if mode == "optimize" and lp.objective is None:
-        raise ConfigurationError("optimize mode requires an objective")
-
     (rows, cols, values), relation, rhs = _bound_rows(lp)
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.
     touched = np.zeros(lp.num_vars, dtype=bool)
     touched[cols] = True
-    if mode == "optimize":
+    if lp.objective is not None:
         touched |= lp.objective.coeffs != 0.0
     columns = np.flatnonzero(touched)
     blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, relation, rhs)
@@ -319,7 +317,7 @@ def solve(lp: LinearProgram, mode: str = "feasibility") -> LpSolution:
     pivots += blocks.drop_artificials()
 
     x = np.zeros(lp.num_vars)
-    if mode == "feasibility":
+    if lp.objective is None:
         x[columns] = blocks.extract()
         return LpSolution(status="feasible", x=x, pivots=pivots)
 

@@ -1,10 +1,10 @@
 """Count-signal masking by constrained rewrite of the wavelet approximation.
 
 Pipeline: decompose the signal, build per-position raise/lower/bound rows over
-the reconstruction matrix, obtain replacement approximation coefficients (LP
-feasibility by default, or a caller-supplied override vector), reassemble with
-the original detail bands, shift to non-negativity, rescale so the total is
-preserved, and round back to integers.
+the reconstruction matrix, obtain replacement approximation coefficients (the
+LP's first feasible point, its optimum under an objective, or a caller-supplied
+override vector), reassemble with the original detail bands, shift to
+non-negativity, rescale so the total is preserved, and round back to integers.
 
 Goals become rows through one table per goal set (``GoalSpec.table``, built
 on first use): the non-free positions in order and, per limit row, its goal,
@@ -42,7 +42,7 @@ GOAL_KEYS = ("index", "goal", "min", "max")
 
 
 def _finite(value) -> float | None:
-    """A goal threshold or limit as a finite float; None stays None, anything else is rejected."""
+    """A goal limit or a coefficient bound as a finite float; None stays None, anything else is rejected."""
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
@@ -122,9 +122,7 @@ class GoalSpec:
                 if key not in GOAL_KEYS:
                     raise ConfigurationError(f"goal entry {pos}: unknown key {key!r}; allowed are {', '.join(GOAL_KEYS)}")
             by_index[index] = Goal(kind=kind, lower=entry.get("min"), upper=entry.get("max"))
-        spec = object.__new__(cls)  # the indices are validated above; __post_init__ would check them again
-        object.__setattr__(spec, "by_index", by_index)
-        return spec
+        return cls(by_index)
 
     @cached_property
     def table(self) -> GoalTable:
@@ -155,10 +153,11 @@ class MaskingConfig:
 
     ``fixed_offset`` of None selects the automatic shift (smallest integer
     making the reassembled signal non-negative).  Rounding is always half
-    away from zero.  The optimize mode needs both an objective and finite
-    per-coefficient bounds, since raise goals alone leave the feasible
-    region unbounded.  ``rng_seed`` only matters downstream when a microfile
-    is rewritten to match the masked counts.
+    away from zero.  ``coefficient_bounds``, one finite (lower, upper) pair
+    per approximation coefficient, bound the replacement coefficients
+    whenever they are set, an override included.  An ``objective`` makes the
+    LP optimize over them instead of stopping at its first feasible point;
+    it needs the bounds, since raise goals alone leave the region unbounded.
     """
 
     goals: GoalSpec
@@ -166,27 +165,26 @@ class MaskingConfig:
     order: int = 2
     level: int = 2
     fixed_offset: float | None = None
-    lp_mode: str = "feasibility"
     objective: Objective | None = None
     coefficient_bounds: tuple[tuple[float, float], ...] | None = None
     override_coeffs: tuple[float, ...] | None = None
     sum_repair: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.level < 1:
             raise ConfigurationError(f"level must be >= 1, got {self.level}")
         if self.fixed_offset is not None and self.fixed_offset < 0:
             raise ConfigurationError(f"fixed offset must be >= 0, got {self.fixed_offset}")
-        if self.lp_mode not in ("feasibility", "optimize"):
-            raise ConfigurationError(f"unknown lp mode {self.lp_mode!r}")
-        if self.lp_mode == "optimize":
-            if self.objective is None:
-                raise ConfigurationError("optimize mode needs an objective")
-            if self.coefficient_bounds is None or not all(
-                math.isfinite(lo) and math.isfinite(hi) for lo, hi in self.coefficient_bounds
-            ):
-                raise ConfigurationError("optimize mode needs finite coefficient bounds")
+        if self.coefficient_bounds is not None:
+            try:
+                boxes = tuple(tuple(map(_finite, box)) for box in self.coefficient_bounds)
+            except (TypeError, ConfigurationError):  # not iterable, or a side that is not a finite number
+                boxes = ((),)
+            if not all(len(box) == 2 and None not in box for box in boxes):
+                raise ConfigurationError("coefficient bounds must be (lower, upper) pairs of finite numbers")
+            object.__setattr__(self, "coefficient_bounds", boxes)
+        elif self.objective is not None:
+            raise ConfigurationError("an objective needs finite coefficient bounds")
         if self.override_coeffs is not None:
             object.__setattr__(self, "override_coeffs", tuple(float(v) for v in self.override_coeffs))
             if not all(map(math.isfinite, self.override_coeffs)):
@@ -214,7 +212,6 @@ class MaskingResult:
 
     q: np.ndarray
     decomposition: Decomposition
-    wrm: ReconstructionMatrix
     new_coeffs: np.ndarray
     new_approx: np.ndarray
     q_hat: np.ndarray
@@ -262,22 +259,23 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
 def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
     """Pick replacement coefficients satisfying the constraint rows.
 
-    With ``override_coeffs`` set the supplied vector is re-verified against
-    every row (within OVERRIDE_SLACK) and returned as-is; otherwise the LP is
-    solved in the configured mode.
+    ``coefficient_bounds``, when set, join the rows first.  With
+    ``override_coeffs`` set the supplied vector is re-verified against every
+    row and bound (within OVERRIDE_SLACK) and returned as-is; otherwise the
+    LP is solved, optimized when ``objective`` is set.
     """
+    if config.coefficient_bounds is not None:
+        lp = replace(lp, objective=config.objective, bounds=config.coefficient_bounds)
     if config.override_coeffs is not None:
         x = np.asarray(config.override_coeffs, dtype=np.float64)
         if x.size != lp.num_vars:
             raise ConfigurationError(f"override has {x.size} coefficients, constraints expect {lp.num_vars}")
         worst = max_violation(lp, x)
         if worst > OVERRIDE_SLACK:
-            raise MaskingError(f"override coefficients violate the goal rows by up to {worst:.6g}")
+            raise MaskingError(f"override coefficients violate the goal rows or bounds by up to {worst:.6g}")
         return x
 
-    if config.lp_mode == "optimize":
-        lp = replace(lp, objective=config.objective, bounds=config.coefficient_bounds)
-    solution = solve(lp, mode=config.lp_mode)
+    solution = solve(lp)
     if solution.status == "infeasible":
         raise MaskingError("goals unsatisfiable: no coefficient vector meets every row")
     if solution.status == "unbounded":
@@ -330,7 +328,6 @@ def _reassembled(q, dec: Decomposition, new_coeffs, config: MaskingConfig, wrm: 
     return dict(
         q=q,
         decomposition=dec,
-        wrm=wrm,
         new_coeffs=new_coeffs,
         new_approx=new_approx,
         q_hat=q_hat,
@@ -381,12 +378,12 @@ def round_and_repair(q_scaled, target_sum: int, sum_repair: bool = True) -> np.n
     return out
 
 
-def evaluate_goals(new_approx, base_approx, goals: GoalSpec, tol: float = GOAL_TOL) -> tuple[GoalCheck, ...]:
-    """Check each non-free goal against the rebuilt approximation: every limit row of the goal must hold within tol."""
+def evaluate_goals(new_approx, base_approx, goals: GoalSpec) -> tuple[GoalCheck, ...]:
+    """Check each non-free goal against the rebuilt approximation: each of its limit rows must hold within GOAL_TOL."""
     new_approx = np.asarray(new_approx, dtype=np.float64)
     table, at, rhs = _limit_rows(goals, np.asarray(base_approx, dtype=np.float64), new_approx.size)
     value = new_approx[at]
-    holds = np.where(table.at_least, value >= rhs - tol, value <= rhs + tol)
+    holds = np.where(table.at_least, value >= rhs - GOAL_TOL, value <= rhs + GOAL_TOL)
     satisfied = np.logical_and.reduceat(holds, table.starts)
     threshold = np.where(table.kinds == "bound", None, rhs[table.starts])
     columns = (table.positions.tolist(), table.kinds.tolist(), value[table.starts].tolist(), satisfied.tolist())

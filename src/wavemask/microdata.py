@@ -215,7 +215,7 @@ def plan_resynthesis(
     for area in sorted(surplus):
         pools[area] = rng.sample(_eligible_rows(table, spec)[area], surplus[area])
 
-    moves: list[Move] = []
+    moves: list[tuple[int, str, str]] = []  # ModificationPlan makes each a Move
     while deficit:
         donor = max(surplus, key=lambda i: (surplus[i], -i))
         taker = max(deficit, key=lambda i: (deficit[i], -i))
@@ -223,7 +223,7 @@ def plan_resynthesis(
         # a donor's pool is consumed front to back; what it still owes is its tail
         start = len(pools[donor]) - surplus[donor]
         old, new = spec.parameter_values[donor], spec.parameter_values[taker]
-        moves.extend(Move(record, old, new) for record in pools[donor][start:start + batch])
+        moves.extend((record, old, new) for record in pools[donor][start:start + batch])
         surplus[donor] -= batch
         deficit[taker] -= batch
         if surplus[donor] == 0:

@@ -360,8 +360,10 @@ def _build_phase1_full_width(system, num_vars: int):
     return _Tableau(t, basis), split, art_at
 
 
-def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict | None = None) -> LpSolution:
+def solve_full_width(lp: LinearProgram, counts: dict | None = None) -> LpSolution:
     """Sequential Bland's rule over every column, one tableau row laid out at a time.
+
+    Phase 2 runs iff the program has an objective.
 
     ``counts``, when given, gains the run's pivots, its phase-1 pivots, exact
     ratio ties and phase-1 early stops.
@@ -387,7 +389,7 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict 
     ties = tab.ties
     tab = _drop_artificials(tab, art_at)
 
-    if mode == "feasibility":
+    if lp.objective is None:
         return solution(status="feasible", x=_extract(tab, lp.num_vars))
 
     sense = lp.objective.sense
@@ -403,7 +405,7 @@ def solve_full_width(lp: LinearProgram, mode: str = "feasibility", counts: dict 
     return solution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
 
 
-def solve_each_block(lp: LinearProgram, mode: str = "feasibility", counts: dict | None = None) -> LpSolution:
+def solve_each_block(lp: LinearProgram, counts: dict | None = None) -> LpSolution:
     """``solve_full_width`` on each independent block of the program alone, the results joined.
 
     ``wavemask.lp.solve`` drops the columns no row or cost touches and pivots
@@ -439,7 +441,7 @@ def solve_each_block(lp: LinearProgram, mode: str = "feasibility", counts: dict 
         objective = None if lp.objective is None else Objective(costs[cols] if cols else [0.0], lp.objective.sense)
         block_counts: dict = {}
         solution = solve_full_width(
-            dense_lp(part, [relations[row] for row in rows], rhs[rows], objective=objective), mode, block_counts
+            dense_lp(part, [relations[row] for row in rows], rhs[rows], objective=objective), block_counts
         )
         if counts is not None:
             for key, value in block_counts.items():
@@ -454,7 +456,7 @@ def solve_each_block(lp: LinearProgram, mode: str = "feasibility", counts: dict 
         return LpSolution(status="infeasible", pivots=phase1_pivots)
     if "unbounded" in statuses:
         return LpSolution(status="unbounded", pivots=pivots)
-    if mode == "feasibility":
+    if lp.objective is None:
         return LpSolution(status="feasible", x=x, pivots=pivots)
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots)
 

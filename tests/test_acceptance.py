@@ -151,7 +151,7 @@ def test_criterion_7_lp_oracle_equivalence():
     compared = 0
     for _ in range(140):
         lp = random_lp(rng)
-        sol = solve(lp, mode="optimize")
+        sol = solve(lp)
         status, best = vertex_optimum(lp)
         if sol.status == "optimal":
             compared += 1

@@ -31,10 +31,20 @@ def test_single_variable_maximum():
         [[1.0], [1.0]], ("<=", ">="), (1.0, 0.0),
         objective=Objective([1.0], "maximize"),
     )
-    sol = solve(lp, mode="optimize")
+    sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.x[0] - 1.0) < 1e-9
     assert abs(sol.objective_value - 1.0) < 1e-9
+
+
+def test_objective_decides_whether_to_optimize():
+    """One program, solved with and without its objective: a feasible point, then the optimum."""
+    lp = dense_lp([[1.0, 1.0]], (">=",), (1.0,), objective=Objective([1.0, 2.0], "minimize"), bounds=((0.0, 3.0),) * 2)
+    optimum = solve(lp)
+    assert (optimum.status, optimum.x.tolist(), optimum.objective_value) == ("optimal", [1.0, 0.0], 1.0)
+    first = solve(replace(lp, objective=None))
+    assert (first.status, first.objective_value) == ("feasible", None)
+    assert max_violation(lp, first.x) == 0.0
 
 
 def test_infeasible_status():
@@ -47,7 +57,7 @@ def test_unbounded_status():
         [[1.0]], (">=",), (0.0,),
         objective=Objective([1.0], "maximize"),
     )
-    assert solve(lp, mode="optimize").status == "unbounded"
+    assert solve(lp).status == "unbounded"
 
 
 def test_equality_rows():
@@ -63,7 +73,7 @@ def test_free_variables_can_go_negative():
         objective=Objective([1.0, -1.0], "maximize"),
         bounds=((-10.0, 10.0), (-10.0, 10.0)),
     )
-    sol = solve(lp, mode="optimize")
+    sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.x[0] - (-5.0)) < 1e-9
     assert abs(sol.x[1] - (-2.0)) < 1e-9
@@ -95,7 +105,7 @@ def test_degenerate_instance_terminates():
         (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
         objective=Objective([0.75, -150.0, 0.02, -6.0], "maximize"),
     )
-    sol = solve(lp, mode="optimize")
+    sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 0.05) < 1e-9
 
@@ -118,7 +128,7 @@ def test_feasible_solutions_satisfy_all_rows():
     rng = np.random.default_rng(11)
     statuses = {"feasible": 0, "infeasible": 0}
     for _ in range(120):
-        lp = random_lp(rng)
+        lp = replace(random_lp(rng), objective=None)
         sol = solve(lp)
         statuses[sol.status] += 1
         if sol.status == "feasible":
@@ -131,7 +141,7 @@ def test_agrees_with_vertex_enumeration_oracle():
     optimal_cases = 0
     for _ in range(130):
         lp = random_lp(rng)
-        sol = solve(lp, mode="optimize")
+        sol = solve(lp)
         status, best = vertex_optimum(lp)
         if sol.status == "optimal":
             optimal_cases += 1
@@ -147,8 +157,8 @@ def test_agrees_with_vertex_enumeration_oracle():
 def test_determinism():
     rng = np.random.default_rng(5)
     lp = random_lp(rng)
-    first = solve(lp, mode="optimize")
-    second = solve(lp, mode="optimize")
+    first = solve(lp)
+    second = solve(lp)
     assert first.status == second.status
     if first.x is not None:
         assert np.array_equal(first.x, second.x)
@@ -206,11 +216,6 @@ def test_validation_errors():
     ):
         with pytest.raises(ConfigurationError, match=message):
             LinearProgram((rows, cols, values), 2, ("<=", "<="), (0.0, 0.0))
-    lp = dense_lp([[1.0]], (">=",), (0.0,))
-    with pytest.raises(ConfigurationError):
-        solve(lp, mode="fastest")
-    with pytest.raises(ConfigurationError):
-        solve(lp, mode="optimize")
 
 
 def test_entries_are_read_only_copies():
@@ -230,11 +235,13 @@ def test_entries_are_read_only_copies():
     assert not lp.coeffs.flags.writeable
 
 
-def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
+def random_lp_with_gaps(rng) -> tuple[LinearProgram, bool, bool]:
     """A small LP with all-zero columns, signed zeros, "=" rows and any rhs sign.
 
-    Returns the program, a solve mode, and whether some column has a cost
-    but no row or bound (optimize mode must then end unbounded or infeasible).
+    Returns the program with its objective, whether it is drawn to be
+    optimized (otherwise ``posed`` drops the objective), and whether some
+    column has a cost but no row or bound (optimizing must then end
+    unbounded or infeasible).
     """
     n = int(rng.integers(1, 7))
     anchor = rng.uniform(-3.0, 3.0, size=n)
@@ -256,7 +263,12 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, str, bool]:
         bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
     lp = dense_lp(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
     in_rows = np.any(with_bounds(lp)[0] != 0.0, axis=0)
-    return lp, ("feasibility", "optimize")[int(rng.integers(0, 2))], bool(np.any((costs != 0.0) & ~in_rows))
+    return lp, bool(rng.integers(0, 2)), bool(np.any((costs != 0.0) & ~in_rows))
+
+
+def posed(lp: LinearProgram, optimize: bool) -> LinearProgram:
+    """The program as ``solve`` should take it: optimized iff it keeps its objective."""
+    return lp if optimize else replace(lp, objective=None)
 
 
 def goal_lps(workload: str, indices):
@@ -271,8 +283,8 @@ def goal_lps(workload: str, indices):
         yield build_constraints(wrm, base, GoalSpec.from_entries(inp["goals"]))
 
 
-def assert_same_solution(lp: LinearProgram, mode: str, counts: dict | None = None) -> str:
-    got, want = solve(lp, mode), solve_each_block(lp, mode, counts)
+def assert_same_solution(lp: LinearProgram, counts: dict | None = None) -> str:
+    got, want = solve(lp), solve_each_block(lp, counts)
     assert got.status == want.status
     assert (got.x is None) == (want.x is None)
     if got.x is not None:
@@ -288,10 +300,11 @@ def test_touched_columns_match_full_width_tableau():
     seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
     cost_only = no_rows = zero_column = equality = signed_zero_rhs = negative_rhs = 0
     for _ in range(2400):
-        lp, mode, has_cost_only_column = random_lp_with_gaps(rng)
-        status = assert_same_solution(lp, mode)
+        lp, optimize, has_cost_only_column = random_lp_with_gaps(rng)
+        lp = posed(lp, optimize)
+        status = assert_same_solution(lp)
         seen[status] += 1
-        if mode == "optimize" and has_cost_only_column:
+        if optimize and has_cost_only_column:
             assert status in ("unbounded", "infeasible")
             cost_only += status == "unbounded"
         no_rows += with_bounds(lp)[2].size == 0
@@ -302,7 +315,7 @@ def test_touched_columns_match_full_width_tableau():
     assert min(seen.values()) >= 100, seen
     assert min(cost_only, no_rows, zero_column, equality, signed_zero_rhs, negative_rhs) >= 50
     for lp in goal_lps("signal-wide", range(6)):
-        assert assert_same_solution(lp, "feasibility") == "feasible"
+        assert assert_same_solution(lp) == "feasible"
 
 
 def trap(rng) -> LinearProgram:
@@ -322,7 +335,7 @@ def trap(rng) -> LinearProgram:
     return dense_lp([[tiny], [tiny]], (">=", "="), (rhs, rhs), objective=objective)
 
 
-def stacked_lp(rng) -> tuple[LinearProgram, str]:
+def stacked_lp(rng) -> LinearProgram:
     """2-12 ``random_lp_with_gaps`` programs laid block-diagonally, rows and columns shuffled.
 
     About half the parts have their coefficients and rhs rounded to
@@ -330,9 +343,10 @@ def stacked_lp(rng) -> tuple[LinearProgram, str]:
     common, a third of the cases take only parts that alone end feasible or
     optimal, a third only parts that alone are not infeasible, and a third
     any parts.  Two cases in five add a ``trap``.  Parts without
-    bounds leave their columns open when another part has bounds.
+    bounds leave their columns open when another part has bounds.  Half the
+    cases keep their objective, to be optimized.
     """
-    mode = ("feasibility", "optimize")[int(rng.integers(0, 2))]
+    optimize = bool(rng.integers(0, 2))
     sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
     allowed = ({"feasible", "optimal"}, {"feasible", "optimal", "unbounded"}, None)[int(rng.integers(0, 3))]
     parts = [trap(rng)] if rng.random() < 0.4 else []
@@ -341,7 +355,7 @@ def stacked_lp(rng) -> tuple[LinearProgram, str]:
         part = replace(part, objective=Objective(part.objective.coeffs, sense))
         if rng.random() < 0.5:
             part = dense_lp(np.round(part.coeffs), part.relations, np.round(part.rhs), part.objective, part.bounds)
-        if allowed is None or solve_full_width(part, mode).status in allowed:
+        if allowed is None or solve_full_width(posed(part, optimize)).status in allowed:
             parts.append(part)
     nrows = [part.rhs.size for part in parts]
     ncols = [part.num_vars for part in parts]
@@ -360,7 +374,7 @@ def stacked_lp(rng) -> tuple[LinearProgram, str]:
         objective=Objective(costs[cols], sense),
         bounds=None if all(part.bounds is None for part in parts) else tuple(bounds[j] for j in cols),
     )
-    return lp, mode
+    return posed(lp, optimize)
 
 
 # Goals-dense timed ops of seed 1 (among ops 0-999) whose phase 1 stops at an
@@ -376,8 +390,8 @@ def test_blocks_match_sequential_bland():
     counts = {}
     bounded = equality = signed_zero_rhs = 0
     for _ in range(1000):
-        lp, mode = stacked_lp(rng)
-        seen[assert_same_solution(lp, mode, counts)] += 1
+        lp = stacked_lp(rng)
+        seen[assert_same_solution(lp, counts)] += 1
         bounded += lp.bounds is not None
         equality += "=" in lp.relations
         signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
@@ -387,7 +401,7 @@ def test_blocks_match_sequential_bland():
     ops, stopped = sorted(set(range(40)) | set(EARLY_STOP_OPS)), []
     for op, lp in zip(ops, goal_lps("goals-dense", ops)):
         dense = {}
-        assert_same_solution(lp, "feasibility", dense)
+        assert_same_solution(lp, dense)
         if dense["phase1_stops"]:
             stopped.append(op)
     assert tuple(stopped) == EARLY_STOP_OPS
@@ -405,7 +419,7 @@ def test_phase1_cost_row_matches_row_loop(monkeypatch):
     monkeypatch.setattr(_Blocks, "__init__", checked)
     rng = np.random.default_rng(1010)
     for _ in range(1000):
-        solve(*stacked_lp(rng))
+        solve(stacked_lp(rng))
     for lp in goal_lps("goals-dense", EARLY_STOP_OPS):
         solve(lp)
     assert len(built) >= 1000 + len(EARLY_STOP_OPS) and sum(height >= 4 for height in built) >= 500
@@ -416,7 +430,7 @@ def test_max_violation_matches_row_loop():
     rng = np.random.default_rng(77)
     checked = 0
     for _ in range(400):
-        lp, _mode, _cost_only = random_lp_with_gaps(rng)
+        lp, _optimize, _cost_only = random_lp_with_gaps(rng)
         x = rng.uniform(-12.0, 12.0, size=lp.num_vars)
         coeffs, _relations, rhs = with_bounds(lp)
         scale = float(np.max(np.abs(coeffs) @ np.abs(x) + np.abs(rhs), initial=1.0))
@@ -451,7 +465,7 @@ def test_boxed_goal_lp_at_m_16384_is_optimal():
     lp = build_constraints(wrm, wrm.apply(decompose(q, filters, 2).approx), goals)
     n = lp.num_vars
     lp = replace(lp, objective=Objective(np.ones(n), "minimize"), bounds=((-1e5, 1e5),) * n)
-    sol = solve(lp, mode="optimize")
+    sol = solve(lp)
     assert sol.status == "optimal"
     assert max_violation(lp, sol.x) <= 1e-7 * max(1.0, float(np.max(np.abs(lp.rhs))))
     optimize = pytest.importorskip("scipy.optimize")
@@ -472,7 +486,7 @@ def test_bounds_take_no_dense_rows():
     )
     tracemalloc.start()
     try:
-        sol = solve(lp, mode="optimize")
+        sol = solve(lp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -78,11 +78,12 @@ def test_goal_validation():
         GoalSpec.from_entries([{"index": 1, "goal": "lower"}, {"index": 1.0, "goal": "raise"}])
 
 
-def test_from_entries_validates_each_index_once(monkeypatch):
+def test_from_entries_builds_through_the_constructor(monkeypatch):
+    """Each index is read once for the duplicate check, then once more by ``GoalSpec.__post_init__``."""
     seen = []
     monkeypatch.setattr(masking, "_position", lambda index: seen.append(index) or _position(index))
     spec = GoalSpec.from_entries([{"index": 3.0, "goal": "raise"}, {"index": 1, "goal": "lower"}])
-    assert seen == [3.0, 1]
+    assert seen == [3.0, 1, 3, 1]
     assert list(spec.by_index) == [3, 1] and all(type(index) is int for index in spec.by_index)
 
 
@@ -268,6 +269,34 @@ def test_solve_approximation_rejects_far_override():
         solve_approximation(lp, short)
 
 
+# The golden 16-area input with one lower and one raise goal; its LP alone returns [2149.5, 109.9, 0, 0].
+GOLDEN_TWO_GOALS = ({"index": 1, "goal": "lower"}, {"index": 5, "goal": "raise"})
+UNIT_BOX = ((0.0, 1.0),) * 4
+
+
+def test_coefficient_bounds_bound_without_an_objective():
+    result = mask_signal(Q16, MaskingConfig(goals=GoalSpec.from_entries(GOLDEN_TWO_GOALS), coefficient_bounds=UNIT_BOX))
+    assert result.new_coeffs.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert [check.satisfied for check in result.goal_report] == [True, True]
+    boxed_out = GoalSpec.from_entries([*GOLDEN_TWO_GOALS, {"index": 11, "goal": "raise"}])
+    assert mask_signal(Q16, MaskingConfig(goals=boxed_out)).goal_report[-1].satisfied
+    with pytest.raises(MaskingError, match="unsatisfiable"):
+        mask_signal(Q16, MaskingConfig(goals=boxed_out, coefficient_bounds=UNIT_BOX))
+
+
+def test_override_outside_coefficient_bounds_is_refused():
+    dec, wrm, grid = worked_parts()
+    lp = build_constraints(wrm, grid, WORKED_GOALS)
+    assert max_violation(lp, A2_HAT) <= 1.0
+    bounds = tuple((value - 2.0, value + 2.0) for value in A2_HAT)
+    inside = MaskingConfig(goals=WORKED_GOALS, override_coeffs=tuple(A2_HAT), coefficient_bounds=bounds)
+    assert solve_approximation(lp, inside).tolist() == list(inside.override_coeffs)
+    # A2_HAT[1] is 379.097
+    outside = dataclasses.replace(inside, coefficient_bounds=(bounds[0], (0.0, 1.0), *bounds[2:]))
+    with pytest.raises(MaskingError, match="rows or bounds"):
+        solve_approximation(lp, outside)
+
+
 def test_solve_approximation_reports_infeasible():
     # one column, so raising row 1 while lowering row 2 is contradictory
     wrm = build_wrm(2, 1, HAAR)
@@ -418,7 +447,6 @@ def test_mask_signal_feasibility_mode_meets_goals():
 def test_mask_signal_optimize_mode():
     config = MaskingConfig(
         goals=WORKED_GOALS,
-        lp_mode="optimize",
         objective=Objective(np.ones(4), "minimize"),
         coefficient_bounds=tuple((-50000.0, 50000.0) for _ in range(4)),
     )
@@ -517,16 +545,30 @@ def test_config_validation():
         MaskingConfig(goals=WORKED_GOALS, level=0)
     with pytest.raises(ConfigurationError):
         MaskingConfig(goals=WORKED_GOALS, fixed_offset=-1.0)
-    with pytest.raises(ConfigurationError):
-        MaskingConfig(goals=WORKED_GOALS, lp_mode="quickest")
-    with pytest.raises(ConfigurationError):
-        MaskingConfig(goals=WORKED_GOALS, lp_mode="optimize")
-    with pytest.raises(ConfigurationError):
-        MaskingConfig(
-            goals=WORKED_GOALS,
-            lp_mode="optimize",
-            objective=Objective(np.ones(4), "minimize"),
-        )
+    with pytest.raises(ConfigurationError, match="objective needs"):
+        MaskingConfig(goals=WORKED_GOALS, objective=Objective(np.ones(4), "minimize"))
+
+
+@pytest.mark.parametrize("bounds", [
+    ((0.0, None),) * 4,  # an open side
+    (5.0,) * 4,  # a bare number for a pair
+    ("01",) * 4,  # a string for a pair
+    (("0", "1"),) * 4,  # strings for sides
+    ((0.0, 1.0, 2.0),) * 4,
+    ((0.0, math.inf),) * 4,
+    ((True, 1.0),) * 4,
+    5.0,
+    None,  # with an objective
+])
+def test_malformed_coefficient_bounds_are_configuration_errors(bounds):
+    with pytest.raises(ConfigurationError, match="coefficient bounds"):
+        MaskingConfig(goals=WORKED_GOALS, objective=Objective(np.ones(4), "minimize"), coefficient_bounds=bounds)
+
+
+def test_coefficient_bounds_are_stored_as_float_pairs():
+    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=[[0, 1], (np.float64(-2.5), np.int64(3))])
+    assert config.coefficient_bounds == ((0.0, 1.0), (-2.5, 3.0))
+    assert all(type(side) is float for pair in config.coefficient_bounds for side in pair)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
