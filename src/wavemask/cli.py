@@ -438,7 +438,7 @@ def main(argv=None) -> int:
             if not (value is None or isinstance(value, str) or (key == "goals" and isinstance(value, list))):
                 raise ConfigurationError(f"--{key.replace('_', '-')} expects a file path, got {value!r}")
         return _HANDLERS[args.command](eff)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         # a missing or unopenable path named on the command line or in the config
         print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE

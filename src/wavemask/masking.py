@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -45,9 +44,15 @@ def _finite(value) -> float | None:
     """A goal limit or a coefficient bound as a finite float; None stays None, anything else is rejected."""
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        # checked as a float: a numpy float32 compared with float64's max overflows in its own width
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigurationError(f"goal threshold, min and max must be finite numbers, got {value!r}")
-    return float(value)
+    return number
 
 
 def _position(index) -> int:
@@ -182,6 +187,8 @@ class MaskingConfig:
                 boxes = ((),)
             if not all(len(box) == 2 and None not in box for box in boxes):
                 raise ConfigurationError("coefficient bounds must be (lower, upper) pairs of finite numbers")
+            if any(lower > upper for lower, upper in boxes):
+                raise ConfigurationError(f"coefficient bounds need lower <= upper, got {self.coefficient_bounds!r}")
             object.__setattr__(self, "coefficient_bounds", boxes)
         elif self.objective is not None:
             raise ConfigurationError("an objective needs finite coefficient bounds")

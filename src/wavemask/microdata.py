@@ -8,9 +8,16 @@ reassigning the parameter value of randomly chosen surplus records so the
 recount equals the masked signal exactly.
 
 Cost model: csv rows load into a list first (a tuple grown from an iterator is
-re-walked by every young garbage collection); C-level checks (``map``/``set``,
-``str.join`` per row) copy cells only when one is not a ``str``; eligibility is
-one dict lookup per record, once per table and selection, kept on the table.
+re-walked by every young garbage collection).  Each cell is checked once.  A
+table that a caller builds goes through C-level checks (``map``/``set``,
+``str.join`` per row) that copy cells only when one is not a ``str``.  Tables
+whose cells are ``str`` by construction skip that scan: ``load_csv`` (csv
+yields exact ``str`` cells; it checks row widths and unique names itself) and
+``apply_plan`` (it swaps one checked ``str`` per moved row, width kept).
+Eligibility is one dict lookup per record, once per table and selection, kept
+on the table.  ``write_csv`` joins rows in fixed chunks and writes a chunk as
+joined when no cell in it needs quoting; a chunk that does goes through
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -43,15 +50,25 @@ class MicrofileTable:
         except TypeError:
             attributes = tuple(map(str, attributes))
             records = tuple([tuple(map(str, row)) for row in records])
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_eligible", {})  # rows per SelectionSpec; not a field, so ==, hash, repr ignore it
+        self._fill(attributes, records)
         if len(set(attributes)) != len(attributes):
             raise DataError("attribute names must be unique")
         width = len(attributes)
         if not set(map(len, records)) <= {width}:
             number, row = next((n, row) for n, row in enumerate(records, start=1) if len(row) != width)
             raise DataError(f"record {number} has {len(row)} cells, expected {width}")
+
+    @classmethod
+    def _of_str(cls, attributes: tuple[str, ...], records: tuple[tuple[str, ...], ...]) -> MicrofileTable:
+        """A table from unique names and header-wide tuples of ``str`` cells, taken as given."""
+        table = object.__new__(cls)
+        table._fill(attributes, records)
+        return table
+
+    def _fill(self, attributes, records) -> None:
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_eligible", {})  # rows per SelectionSpec; not a field, so ==, hash, repr ignore it
 
     def __len__(self) -> int:
         return len(self.records)
@@ -131,7 +148,10 @@ def load_csv(source, delimiter: str = ",", has_header: bool = True) -> Microfile
     try:
         with open(source, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
-            first, records = next(reader, None), tuple(list(map(tuple, reader)))
+            try:
+                first, records = next(reader, None), tuple(list(map(tuple, reader)))
+            except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+                raise DataError(f"{source}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if first is None:
@@ -145,15 +165,40 @@ def load_csv(source, delimiter: str = ",", has_header: bool = True) -> Microfile
     if not set(map(len, records)) <= {width}:
         number, row = next((n, row) for n, row in enumerate(records, start=first_line) if len(row) != width)
         raise DataError(f"{source}: row {number} has {len(row)} cells, expected {width}")
-    return MicrofileTable(attributes=attributes, records=records)
+    if len(set(attributes)) != width:
+        raise DataError(f"{source}: attribute names must be unique")
+    return MicrofileTable._of_str(attributes, records)  # csv.reader yields exact str cells
+
+
+# Rows per joined write: joining the whole file at once would hold a second copy of it.
+_WRITE_CHUNK_ROWS = 512
 
 
 def write_csv(table: MicrofileTable, sink, delimiter: str = ",") -> None:
-    """Write header plus records, RFC-style quoting, trailing newline."""
+    """Write header plus records, RFC-style quoting, trailing newline.
+
+    The records go out in chunks of ``_WRITE_CHUNK_ROWS``, each joined by
+    delimiter and newline.  The joined text is written as it is when no
+    cell needs quoting: a row holds more than one cell (a lone empty cell is
+    written ``""``), and no cell holds a quote, a carriage return, a newline
+    or the delimiter, which the counts over the text show since every row
+    holds exactly one cell per attribute.  Otherwise ``csv.writer`` writes
+    the chunk, so the bytes are always ``csv.writer``'s.
+    """
+    width = len(table.attributes)
     with open(sink, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(table.attributes)
-        writer.writerows(table.records)
+        records = table.records
+        for start in range(0, len(records), _WRITE_CHUNK_ROWS):
+            chunk = records[start:start + _WRITE_CHUNK_ROWS]
+            text = "\n".join(map(delimiter.join, chunk))
+            if width > 1 and '"' not in text and "\r" not in text and text.count("\n") == len(chunk) - 1 \
+                    and text.count(delimiter) == len(chunk) * (width - 1):
+                handle.write(text)
+                handle.write("\n")
+            else:
+                writer.writerows(chunk)
 
 
 def _eligible_rows(table: MicrofileTable, spec: SelectionSpec) -> tuple[tuple[int, ...], ...]:
@@ -247,4 +292,5 @@ def apply_plan(table: MicrofileTable, plan: ModificationPlan) -> MicrofileTable:
                 f"plan expected {move.old_value!r}; the plan is stale"
             )
         records[move.record] = (*row[:param_col], move.new_value, *row[param_col + 1:])
-    return MicrofileTable(attributes=table.attributes, records=tuple(records))
+    # each moved row keeps its width and gains a str that ModificationPlan has checked
+    return MicrofileTable._of_str(table.attributes, tuple(records))

@@ -6,6 +6,7 @@ time, independent of the vectorized code under test.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import itertools
 import random
@@ -503,6 +504,14 @@ def random_table(rng, areas, max_records: int = 200) -> MicrofileTable:
         code = f"{int(rng.integers(0, 100000)):05d}"
         rows.append((mil, area, code))
     return MicrofileTable(attributes=("mil", "area", "code"), records=tuple(rows))
+
+
+def write_csv_writer(table: MicrofileTable, sink, delimiter: str = ",") -> None:
+    """Header plus records, every row through ``csv.writer`` with QUOTE_MINIMAL, trailing newline."""
+    with open(sink, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(table.attributes)
+        writer.writerows(table.records)
 
 
 def plan_moves_pop0(table: MicrofileTable, spec, q, q_tilde, seed: int) -> tuple:

@@ -1,5 +1,6 @@
 """Exit codes, artifact emission, config merging, and the verify checks."""
 
+import csv
 import json
 
 import numpy as np
@@ -308,6 +309,32 @@ def test_missing_output_directory_names_the_output(tmp_path, capsys):
     assert f"cannot open {out}: No such file or directory" in err
     assert f"cannot open {out_csv}: No such file or directory" in err
     assert "input" not in err
+
+
+def test_path_under_a_file_is_a_usage_error(tmp_path, capsys):
+    signal, goals = write_inputs(tmp_path)
+    assert main(repro_argv(signal / "x.txt", goals, tmp_path / "o.txt")) == 1
+    assert main(repro_argv(signal, goals, signal / "x.txt")) == 1
+    source, micro_goals = microfile_inputs(tmp_path)
+    assert main(microfile_argv(source / "x.csv", tmp_path / "o.csv", micro_goals)) == 1
+    assert main(microfile_argv(source, source / "x.csv", micro_goals)) == 1
+    err = capsys.readouterr().err
+    for path in (signal / "x.txt", source / "x.csv"):
+        assert err.count(f"error: cannot open {path}: Not a directory") == 2
+
+
+@pytest.mark.parametrize("command", ["mask-microfile", "verify"])
+def test_cell_over_the_csv_field_limit_is_a_data_error(tmp_path, capsys, command):
+    source, goals = microfile_inputs(tmp_path)
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"mil,area\n1,A\n1,{'B' * (csv.field_size_limit() + 1)}\n")
+    if command == "mask-microfile":
+        argv = microfile_argv(wide, tmp_path / "o.csv", goals)
+    else:
+        argv = ["verify", "--original", str(source), "--masked", str(wide), "--vital", "mil=1",
+                "--parameter-attribute", "area", "--parameter-values", "A,B,C,D"]
+    assert main(argv) == 3
+    assert f"error: {wide}: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [

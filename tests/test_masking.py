@@ -571,6 +571,27 @@ def test_coefficient_bounds_are_stored_as_float_pairs():
     assert all(type(side) is float for pair in config.coefficient_bounds for side in pair)
 
 
+def test_numpy_float32_limits_and_bounds_are_accepted():
+    # checked as float64: a float32 compared with float64's max would warn of overflow in the cast
+    assert Goal("raise", threshold=np.float32(3)).threshold == 3.0
+    bound = Goal("bound", lower=np.float32(1.5), upper=np.float32(2.5))
+    assert (bound.lower, bound.upper) == (1.5, 2.5)
+    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=[(np.float32(-2.5), np.float32(3))] * 4)
+    assert config.coefficient_bounds == ((-2.5, 3.0),) * 4
+    assert all(type(side) is float for pair in config.coefficient_bounds for side in pair)
+    for value in (np.float32("inf"), np.float32("nan"), 10**400):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Goal("raise", threshold=value)
+
+
+def test_inverted_coefficient_bound_pair_is_a_configuration_error():
+    # a reversed pair is the caller's mistake, not a goal the LP cannot meet
+    goals = GoalSpec.from_entries(GOLDEN_TWO_GOALS)
+    with pytest.raises(ConfigurationError, match="lower <= upper"):
+        MaskingConfig(goals=goals, coefficient_bounds=((1.0, 0.0),) * 4)
+    assert MaskingConfig(goals=goals, coefficient_bounds=((0.5, 0.5),) * 4).coefficient_bounds == ((0.5, 0.5),) * 4
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_override_is_a_configuration_error(bad):
     # a nan once slipped past the override check and failed in rounding

@@ -1,9 +1,12 @@
 """CSV round-trips, signal extraction, and count-matching file rewrites."""
 
+import csv
+import types
+
 import numpy as np
 import pytest
 
-from oracles import plan_moves_pop0, random_table
+from oracles import plan_moves_pop0, random_table, write_csv_writer
 from wavemask import microdata
 from wavemask.errors import ConfigurationError, DataError, MaskingError
 from wavemask.microdata import (
@@ -158,7 +161,7 @@ def test_load_csv_header_only(tmp_path):
 def test_load_csv_duplicate_header(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("a,b,a\n1,2,3\n")
-    with pytest.raises(DataError, match="unique"):
+    with pytest.raises(DataError, match="dup.csv: attribute names must be unique"):
         load_csv(path)
 
 
@@ -198,6 +201,126 @@ def test_round_trip_alternate_delimiter(tmp_path):
     path = tmp_path / "semi.csv"
     write_csv(table, path, delimiter=";")
     assert load_csv(path, delimiter=";") == table
+
+
+CHUNK = microdata._WRITE_CHUNK_ROWS
+# cells that may need quoting (delimiters, quote, CR, LF, a lone empty cell) and cells that never do
+QUOTE_ALPHABET = (",", ";", "\t", " ", '"', "\r", "\n", "", "x", "06010")
+
+
+def random_cells(rng, n_rows: int, width: int, alphabet) -> tuple:
+    """n_rows rows of width cells, each 0-3 symbols drawn from alphabet."""
+    picks = rng.integers(0, len(alphabet), size=(n_rows, width, 3)).tolist()
+    sizes = rng.integers(0, 4, size=(n_rows, width)).tolist()
+    return tuple(
+        tuple("".join(alphabet[k] for k in cell[:size]) for cell, size in zip(row, row_sizes))
+        for row, row_sizes in zip(picks, sizes)
+    )
+
+
+@pytest.fixture
+def quoted_chunks(monkeypatch):
+    """Chunks that write_csv hands to csv.writer's writerows, in order."""
+    chunks, real_writer = [], csv.writer
+
+    class WriterSpy:
+        def __init__(self, *args, **kwargs):
+            self._writer = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            return self._writer.writerow(row)
+
+        def writerows(self, rows):
+            chunks.append(tuple(rows))
+            return self._writer.writerows(rows)
+
+    # microdata's own csv module is swapped, so the oracle keeps the real writer
+    monkeypatch.setattr(microdata, "csv", types.SimpleNamespace(**{**vars(csv), "writer": WriterSpy}))
+    return chunks
+
+
+def assert_csv_writer_bytes(table, tmp_path, delimiter):
+    write_csv_writer(table, tmp_path / "oracle.csv", delimiter=delimiter)
+    write_csv(table, tmp_path / "fast.csv", delimiter=delimiter)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", " "])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_write_csv_matches_csv_writer_on_random_cells(tmp_path, delimiter, width):
+    rng = np.random.default_rng(100 * width + ord(delimiter))
+    attributes = tuple(f"c{i}" for i in range(width))
+    for _ in range(60):
+        table = MicrofileTable(attributes, random_cells(rng, int(rng.integers(0, 5)), width, QUOTE_ALPHABET))
+        assert_csv_writer_bytes(table, tmp_path, delimiter)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", " "])
+def test_write_csv_quotes_each_cell_that_needs_it(tmp_path, quoted_chunks, delimiter):
+    """Each reason to quote sends its chunk through csv.writer; a plain chunk is written joined."""
+    plain = MicrofileTable(("a", "b"), (("1", ""), ("", "x y" if delimiter != " " else "xy")))
+    assert_csv_writer_bytes(plain, tmp_path, delimiter)
+    assert quoted_chunks == []
+    for cell in ('"', "x\ry", "x\ny", f"x{delimiter}y"):
+        table = MicrofileTable(("a", "b"), (("1", "2"), ("3", cell)))
+        quoted_chunks.clear()
+        assert_csv_writer_bytes(table, tmp_path, delimiter)
+        assert quoted_chunks == [table.records]
+    lone_empty = MicrofileTable(("a",), (("",), ("x",)))  # a one-cell row of "" is written as ""
+    quoted_chunks.clear()
+    assert_csv_writer_bytes(lone_empty, tmp_path, delimiter)
+    assert quoted_chunks == [lone_empty.records]
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", " "])
+def test_write_csv_chunk_boundaries(tmp_path, quoted_chunks, delimiter):
+    """Row counts around the chunk size, and a middle chunk that alone needs quoting."""
+    rng = np.random.default_rng(ord(delimiter))
+    plain = [cell for cell in ("", "x", "06010", "7 8") if delimiter not in cell]
+    grid = random_cells(rng, 3 * CHUNK + 5, 4, plain)
+    for width in (1, 2, 3, 4):
+        attributes = tuple(f"c{i}" for i in range(width))
+        for n_rows in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1):
+            records = tuple(row[:width] for row in grid[:n_rows])
+            quoted_chunks.clear()
+            assert_csv_writer_bytes(MicrofileTable(attributes, records), tmp_path, delimiter)
+            # one-cell rows always go through csv.writer
+            assert quoted_chunks == ([] if width > 1 else [records[i:i + CHUNK] for i in range(0, n_rows, CHUNK)])
+        for special in ('"', "\r", "\n", delimiter):
+            records = [row[:width] for row in grid]
+            records[CHUNK + 7] = (*records[CHUNK + 7][:-1], records[CHUNK + 7][-1] + special)
+            records = tuple(records)
+            quoted_chunks.clear()
+            assert_csv_writer_bytes(MicrofileTable(attributes, records), tmp_path, delimiter)
+            if width > 1:
+                assert quoted_chunks == [records[CHUNK:2 * CHUNK]]
+
+
+def test_loaded_and_rewritten_tables_equal_checked_tables(tmp_path):
+    """load_csv and apply_plan skip the constructor's cell scan; their tables are the ones it builds."""
+    rng = np.random.default_rng(47)
+    areas = ("00100", "00200", "06010")
+    spec = SelectionSpec(("mil",), ("1",), "area", areas)
+    for case in range(12):
+        table = random_table(rng, areas=areas, max_records=120)
+        # a free-text column that needs quoting; csv.writer leaves a lone "\r" bare, so it would not read back
+        noted = random_cells(rng, len(table), 1, [cell for cell in QUOTE_ALPHABET if cell != "\r"])
+        table = MicrofileTable((*table.attributes, "note"), tuple(map(tuple.__add__, table.records, noted)))
+        path = tmp_path / f"t{case}.csv"
+        write_csv(table, path)
+        loaded = load_csv(path)
+        assert loaded == table
+        q = extract_quantity_signal(loaded, spec)
+        q_tilde = rng.multinomial(int(q.sum()), [1 / 3] * 3)
+        rewritten = apply_plan(loaded, plan_resynthesis(loaded, spec, q, q_tilde, seed=case))
+        assert extract_quantity_signal(rewritten, spec).tolist() == q_tilde.tolist()
+        for built in (loaded, load_csv(path, has_header=False), rewritten):
+            assert built == MicrofileTable(built.attributes, built.records)
+            assert type(built.attributes) is tuple and all(type(name) is str for name in built.attributes)
+            assert type(built.records) is tuple
+            assert all(type(row) is tuple and len(row) == len(built.attributes) for row in built.records)
+            assert all(type(cell) is str for row in built.records for cell in row)
+        assert rewritten._eligible is not loaded._eligible
 
 
 def test_extract_counts():
