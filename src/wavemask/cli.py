@@ -7,14 +7,16 @@ Subcommands:
   verify          check total preservation and detail proportionality
 
 All options can also come from a JSON config file (--config); explicit flags
-win.  Exit codes: 0 success, 1 usage or configuration problem, 2 goals
+win.  Exit codes: 0 success, 1 usage, configuration or I/O problem, 2 goals
 infeasible or a verification failure, 3 malformed data.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -46,6 +48,17 @@ def _sig12(value) -> float:
 
 def _vec(values) -> list[float]:
     return [_sig12(v) for v in np.asarray(values, dtype=np.float64)]
+
+
+def _dense_rows(entries, shape: tuple[int, int], zero, cell):
+    """The matrix with these row-major non-zero entries, row by row as lists: ``cell(value)`` at an entry, else ``zero``."""
+    row, column, value = entries
+    ends = np.searchsorted(row, np.arange(shape[0]), side="right").tolist()
+    for start, end in zip([0, *ends], ends):
+        line = [zero] * shape[1]
+        for j, v in zip(column[start:end].tolist(), value[start:end].tolist()):
+            line[j] = cell(v)
+        yield line
 
 
 def _number(value, cast, flag: str):
@@ -150,7 +163,7 @@ def _with_limits(item: dict, **limits) -> dict:
 
 
 def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> dict:
-    dec = result.decomposition
+    dec, lp = result.decomposition, result.lp
     original = float(result.q.sum())
     scaled = float(result.q_scaled.sum())
     rounded = int(result.q_tilde.sum()) if result.q_tilde is not None else None
@@ -172,8 +185,8 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> 
             for index, goal in config.goals.by_index.items()
         ],
         "lp_rows": [
-            {"coeffs": _vec(coeffs), "relation": relation, "rhs": _sig12(rhs)}
-            for coeffs, relation, rhs in zip(result.lp.coeffs, result.lp.relations, result.lp.rhs)
+            {"coeffs": coeffs, "relation": relation, "rhs": _sig12(rhs)} for coeffs, relation, rhs in zip(
+                _dense_rows(lp.entries, (lp.rhs.size, lp.num_vars), 0.0, _sig12), lp.relations, lp.rhs)
         ],
         "a_k_hat": _vec(result.new_coeffs),
         "A_k_hat": _vec(result.new_approx),
@@ -282,13 +295,16 @@ def _cmd_wrm(eff: dict) -> int:
     level = _number(_get(eff, "level", 2), int, "--level")
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     matrix = build_wrm(length, level, make_filter(family, order))
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix.entries]
-    text = "\n".join(lines) + "\n"
-    if eff.get("output"):
-        with open(eff["output"], "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = _dense_rows(matrix.row_entries(np.arange(1, length + 1)), matrix.shape, "0.0", repr)
+    path = eff.get("output")
+    try:
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
+            handle.writelines(",".join(row) + "\n" for row in rows)
+            handle.flush()
+    except BrokenPipeError:
+        if not path:  # the reader has gone: what stdout still holds goes to devnull at exit, silently
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
     return EXIT_OK
 
 
@@ -438,9 +454,9 @@ def main(argv=None) -> int:
             if not (value is None or isinstance(value, str) or (key == "goals" and isinstance(value, list))):
                 raise ConfigurationError(f"--{key.replace('_', '-')} expects a file path, got {value!r}")
         return _HANDLERS[args.command](eff)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        # a missing or unopenable path named on the command line or in the config
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:
+        where = f"cannot open {exc.filename}" if exc.filename else "I/O error"  # open() names its path, a write none
+        print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigurationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

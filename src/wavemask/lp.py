@@ -1,7 +1,8 @@
 """Two-phase primal simplex over independent row blocks, for the goal systems built here.
 
-A system is a coefficient matrix held as its non-zero (row, column, value)
-entries, row-major, with a relation and a rhs per row and a free variable
+A system is a coefficient matrix held only as its non-zero (row, column,
+value) entries, row-major (the solver, ``max_violation`` and the report's
+``lp_rows`` read them), with a relation and a rhs per row and a free variable
 per column, e.g. 256 goal rows of a few entries over 512 coefficients, plus
 optional box bounds: each side that is set is a unit row after the matrix's
 rows, held as its one entry.  Bland's rule, free variables split into
@@ -111,14 +112,6 @@ class LinearProgram:
             object.__setattr__(self, "bounds", tuple(self.bounds))
             if len(self.bounds) != self.num_vars:
                 raise ConfigurationError("bounds length does not match num_vars")
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The dense read-only matrix, built on each access: O(rows x num_vars) memory."""
-        out = np.zeros((self.rhs.size, self.num_vars))
-        out[self.entries[:2]] = self.entries[2]
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)

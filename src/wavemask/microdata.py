@@ -26,6 +26,7 @@ import collections
 import csv
 import operator
 import random
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -183,11 +184,13 @@ def write_csv(table: MicrofileTable, sink, delimiter: str = ",") -> None:
     written ``""``), and no cell holds a quote, a carriage return, a newline
     or the delimiter, which the counts over the text show since every row
     holds exactly one cell per attribute.  Otherwise ``csv.writer`` writes
-    the chunk, so the bytes are always ``csv.writer``'s.
+    the chunk, its "\\r\\n" line terminator cut to "\\n" per row, so that it
+    quotes a cell holding a bare carriage return, which a reader ends a line at.
     """
     width = len(table.attributes)
     with open(sink, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, delimiter=delimiter, lineterminator="\r\n")
         writer.writerow(table.attributes)
         records = table.records
         for start in range(0, len(records), _WRITE_CHUNK_ROWS):

@@ -2,9 +2,9 @@
 
 The transform is periodized, so column j of the operator is column 0 rolled
 down by j * 2**level.  Only column 0, the impulse response, is kept: O(m) to
-build and store.  Rows are read off its support as non-zero entries
-(``row_entries``); dense rows and the dense matrix (the `wrm` dump) are their
-scatter, built on request.  Products run the synthesis pyramid.
+build and store.  Rows are read off its support as their non-zero entries
+(``row_entries``), the one row form the package uses: the goal LP's rows and
+the `wrm` dump are built from them.  Products run the synthesis pyramid.
 """
 
 from __future__ import annotations
@@ -50,19 +50,6 @@ class ReconstructionMatrix:
         row, at = np.nonzero(offset % (1 << self.level) == 0)
         offset = offset[row, at]
         return row, offset >> self.level, self.impulse[(index[row] - offset) % self.length]
-
-    def rows(self, positions) -> np.ndarray:
-        """Read-only dense rows at 1-based positions, stacked in the given order: the scatter of ``row_entries``."""
-        row, column, value = self.row_entries(positions)
-        out = np.zeros((np.size(positions), self.shape[1]))
-        out[row, column] = value
-        out.setflags(write=False)
-        return out
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense matrix, built on each access: O(m^2 / 2**level) memory."""
-        return self.rows(np.arange(1, self.length + 1))
 
     def apply(self, coeffs) -> np.ndarray:
         """Operator-vector product by the synthesis pyramid, which checks the shape."""

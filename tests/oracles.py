@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import io
 import itertools
 import random
 from dataclasses import replace
@@ -172,10 +173,18 @@ def dense_lp(coeffs, relations, rhs, objective=None, bounds=None) -> LinearProgr
     return LinearProgram((rows, cols, coeffs[rows, cols]), coeffs.shape[1], relations, rhs, objective, bounds)
 
 
+def dense(lp: LinearProgram) -> np.ndarray:
+    """The program's dense read-only coefficient matrix: its entries scattered into zeros."""
+    out = np.zeros((lp.rhs.size, lp.num_vars))
+    out[lp.entries[:2]] = lp.entries[2]
+    out.setflags(write=False)
+    return out
+
+
 def with_bounds(lp: LinearProgram) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """(coeffs, relations, rhs) with a dense unit row per bound side that is set, the LP's own arrays when unbounded."""
     if lp.bounds is None:
-        return lp.coeffs, lp.relations, lp.rhs
+        return dense(lp), lp.relations, lp.rhs
     limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
     column, side = np.nonzero(np.not_equal(limits, None))  # per column: lower, then upper
     units = (column[:, None] == np.arange(lp.num_vars)).astype(np.float64)
@@ -183,7 +192,7 @@ def with_bounds(lp: LinearProgram) -> tuple[np.ndarray, tuple[str, ...], np.ndar
     rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
     if not np.all(np.isfinite(rhs)):
         raise ConfigurationError("constraint contains non-finite values")
-    return np.vstack((lp.coeffs, units)), relations, rhs
+    return np.vstack((dense(lp), units)), relations, rhs
 
 
 def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
@@ -489,10 +498,39 @@ def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
     )
 
 
-def gather_rows(wrm, positions) -> np.ndarray:
-    """Operator rows at 1-based positions, entry (i, j) = impulse[(i - 1 - j * 2**level) mod m]."""
+def gather_rows(wrm, positions=None) -> np.ndarray:
+    """Operator rows at 1-based positions, entry (i, j) = impulse[(i - 1 - j * 2**level) mod m]; all rows by default."""
+    positions = np.arange(1, wrm.length + 1) if positions is None else np.asarray(positions)
     shifts = np.arange(wrm.shape[1]) << wrm.level
-    return wrm.impulse[(np.asarray(positions)[:, None] - 1 - shifts) % wrm.length]
+    return wrm.impulse[(positions[:, None] - 1 - shifts) % wrm.length]
+
+
+class _ReprOfBits(dict):
+    """``repr`` of the float64 with the given bits, each computed once: a key is a value's bit pattern, so 0.0 and -0.0 differ."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(float(np.int64(bits).view(np.float64)))
+        return text
+
+
+def wrm_dump_lines(wrm):
+    """The `wrm` dump's lines from the dense matrix: each row's entries by ``repr(float)``, comma-joined."""
+    text = _ReprOfBits()
+    for row in gather_rows(wrm).view(np.int64):
+        yield ",".join(map(text.__getitem__, row.tolist())) + "\n"
+
+
+def sig12(value) -> float:
+    """A value rounded to 12 significant digits through its decimal text, as the report writes numbers."""
+    return float(f"{float(value):.12g}")
+
+
+def lp_rows_dense(lp: LinearProgram) -> list:
+    """The report's ``lp_rows`` from the dense matrix: every coefficient, zeros too, at 12 significant digits."""
+    return [
+        {"coeffs": [sig12(v) for v in coeffs], "relation": relation, "rhs": sig12(rhs)}
+        for coeffs, relation, rhs in zip(dense(lp), lp.relations, lp.rhs)
+    ]
 
 
 def random_table(rng, areas, max_records: int = 200) -> MicrofileTable:
@@ -507,11 +545,18 @@ def random_table(rng, areas, max_records: int = 200) -> MicrofileTable:
 
 
 def write_csv_writer(table: MicrofileTable, sink, delimiter: str = ",") -> None:
-    """Header plus records, every row through ``csv.writer`` with QUOTE_MINIMAL, trailing newline."""
+    """Header plus records, each row alone through ``csv.writer`` with QUOTE_MINIMAL, every line ending in a newline.
+
+    The writer ends its lines in "\\r\\n", so it also quotes a cell that holds a
+    bare carriage return; the "\\r\\n" that ends each row is then cut to "\\n".
+    """
+    lines = []
+    for row in (table.attributes, *table.records):
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer, delimiter=delimiter, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
     with open(sink, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(table.attributes)
-        writer.writerows(table.records)
+        handle.writelines(lines)
 
 
 def plan_moves_pop0(table: MicrofileTable, spec, q, q_tilde, seed: int) -> tuple:

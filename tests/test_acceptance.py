@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import random_lp, random_table, vertex_optimum
+from oracles import dense, gather_rows, random_lp, random_table, vertex_optimum
 from refdata import (
     A2_3DP,
     A2_HAT,
@@ -45,26 +45,26 @@ def test_criterion_1_decomposition_golden():
 
 
 def test_criterion_2_wrm_golden():
-    entries = build_wrm(16, 2, D4).entries
+    entries = gather_rows(build_wrm(16, 2, D4))
     ok = bool(np.max(np.abs(entries - MREC_3DP)) < 1e-3)
     assert verdict(2, "reconstruction matrix golden values", ok)
 
 
 def test_criterion_3_approximation_golden():
     wrm = build_wrm(16, 2, D4)
-    grid = wrm.entries @ decompose(Q16, D4, 2).approx
+    grid = gather_rows(wrm) @ decompose(Q16, D4, 2).approx
     ok = bool(np.max(np.abs(grid - A2_GRID_3DP)) < 2e-3)
     assert verdict(3, "approximation golden values", ok)
 
 
 def test_criterion_4_constraint_system():
     wrm = build_wrm(16, 2, D4)
-    grid = wrm.entries @ decompose(Q16, D4, 2).approx
+    grid = gather_rows(wrm) @ decompose(Q16, D4, 2).approx
     lp = build_constraints(wrm, grid, WORKED_GOALS)
 
-    ok = len(lp.coeffs) == len(lp.relations) == len(lp.rhs) == 12
+    ok = len(dense(lp)) == len(lp.relations) == len(lp.rhs) == 12
     order = sorted(LOWER_POSITIONS + RAISE_POSITIONS)
-    for coeffs, relation, rhs, index in zip(lp.coeffs, lp.relations, lp.rhs, order):
+    for coeffs, relation, rhs, index in zip(dense(lp), lp.relations, lp.rhs, order):
         ok = ok and relation == ("<=" if index in LOWER_POSITIONS else ">=")
         ok = ok and bool(np.max(np.abs(coeffs - MREC_3DP[index - 1])) < 1e-3)
         ok = ok and abs(rhs - A2_GRID_3DP[index - 1]) < 1e-3
@@ -120,7 +120,7 @@ def test_criterion_6_randomized_property_suite():
         masked_cases += 1
         dec = decompose(q, D4, 2)
         wrm = build_wrm(length, 2, D4)
-        target = wrm.entries @ (dec.approx * rng.uniform(0.0, 1.2))
+        target = gather_rows(wrm) @ (dec.approx * rng.uniform(0.0, 1.2))
         positions = rng.permutation(length)[: int(rng.integers(2, 7))]
         goals = {}
         for slot, position in enumerate(positions):

@@ -1,13 +1,20 @@
 """Exit codes, artifact emission, config merging, and the verify checks."""
 
 import csv
+import itertools
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import gather_rows, lp_rows_dense, wrm_dump_lines
 from refdata import OFFSET, Q16, QTILDE_PRINTED, worked_goal_entries
-from wavemask import microdata
+from wavemask import cli, microdata
 from wavemask.cli import main
 from wavemask.microdata import MicrofileTable, load_csv, write_csv
 from wavemask.wavelet import make_filter, read_signal
@@ -69,6 +76,52 @@ def test_report_identical_except_timestamp(tmp_path):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
+
+
+def run_with_result(monkeypatch, argv):
+    """``main(argv)``, which must succeed, and the result of its one ``mask_signal`` call."""
+    results, real = [], cli.mask_signal
+    monkeypatch.setattr(cli, "mask_signal", lambda q, config: results.append(real(q, config)) or results[-1])
+    assert main(argv) == 0
+    assert len(results) == 1
+    return results[0]
+
+
+def assert_dense_report_bytes(report, lp):
+    """The report holds the bytes that ``json.dump(indent=2)`` gives its content with the dense ``lp_rows``.
+
+    Every other field comes from its own code, and its timestamp is in the
+    file itself, so the dense writer's report of the same run differs only there.
+    """
+    text = report.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    payload["lp_rows"] = lp_rows_dense(lp)
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_bytes_match_the_dense_lp_rows_writer(tmp_path, monkeypatch):
+    """The golden run, the --repro preset, a microfile run and a random m = 1024 run with 64 goals."""
+    signal, goals = write_inputs(tmp_path)
+    report = tmp_path / "report.json"
+    golden = ["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(tmp_path / "g.txt")]
+    repro = [*golden, "--override-coeffs", OVERRIDE, "--repro", "--offset", "2500"]
+    source, micro_goals = microfile_inputs(tmp_path)
+    rng = np.random.default_rng(1024)
+    wide = tmp_path / "q1024.txt"
+    wide.write_text("".join(f"{v}\n" for v in np.rint(rng.lognormal(3.0, 1.5, 1024)).astype(np.int64)))
+    wide_goals = tmp_path / "goals64.json"
+    positions = rng.choice(1024, 64, replace=False) + 1
+    wide_goals.write_text(json.dumps([{"index": int(p), "goal": ("raise", "lower")[k % 2]} for k, p in enumerate(positions)]))
+    wide_run = ["mask-signal", "--input", str(wide), "--goals", str(wide_goals), "--output", str(tmp_path / "w.txt")]
+    for argv, rows, columns in (
+        (golden, 12, 4),
+        (repro, 12, 4),
+        (microfile_argv(source, tmp_path / "o.csv", micro_goals), 1, 2),
+        (wide_run, 64, 256),
+    ):
+        result = run_with_result(monkeypatch, [*argv, "--report", str(report)])
+        assert (result.lp.rhs.size, result.lp.num_vars) == (rows, columns)
+        assert_dense_report_bytes(report, result.lp)
 
 
 def test_config_file_supplies_defaults_flags_win(tmp_path):
@@ -159,7 +212,7 @@ def test_wrm_stdout_full_precision(capsys):
     assert main(["wrm", "--length", "16", "--level", "2"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
     got = np.array([[float(cell) for cell in row] for row in rows])
-    expected = build_wrm(16, 2, make_filter("daubechies", 2)).entries
+    expected = gather_rows(build_wrm(16, 2, make_filter("daubechies", 2)))
     assert got.shape == (16, 4)
     assert np.array_equal(got, expected)
 
@@ -170,6 +223,75 @@ def test_wrm_to_file(tmp_path):
                  "--output", str(path)]) == 0
     got = np.array([[float(c) for c in line.split(",")] for line in path.read_text().splitlines()])
     assert got.shape == (8, 4)
+
+
+@pytest.mark.parametrize("wavelet,family,order", [("haar", "haar", 1), ("daubechies:2", "daubechies", 2),
+                                                  ("daubechies:3", "daubechies", 3)])
+def test_wrm_dump_matches_the_dense_writer(tmp_path, capsys, wavelet, family, order):
+    """Every dump line has the bytes of the dense row's ``repr(float)`` cells; shape errors stay exit 1."""
+    filters = make_filter(family, order)
+    path = tmp_path / "wrm.csv"
+    for level in (1, 2, 3):
+        for length in sorted({1 << level, 3 << level, 16, 64, 4096}):
+            argv = ["wrm", "--length", str(length), "--level", str(level), "--wavelet", wavelet]
+            assert main([*argv, "--output", str(path)]) == 0
+            with open(path, encoding="utf-8", newline="") as handle:
+                for got, want in itertools.zip_longest(handle, wrm_dump_lines(build_wrm(length, level, filters))):
+                    assert got == want
+            if length == 16:
+                assert main(argv) == 0
+                assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+    path.unlink()
+    for length, level in ((12, 3), (16, 0), (1, 0), (24, 5)):
+        assert main(["wrm", "--length", str(length), "--level", str(level), "--wavelet", wavelet,
+                     "--output", str(path)]) == 1
+        assert not path.exists()
+    assert capsys.readouterr().err.count("error:") == 4
+
+
+def test_wrm_dump_memory_is_one_row():
+    """The m = 8192 dump (16 MiB of dense matrix at level 2) is written row by row from the non-zeros."""
+    tracemalloc.start()
+    try:
+        assert main(["wrm", "--length", "8192", "--output", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_a_usage_error(tmp_path, capsys):
+    """A write that fails (ENOSPC) ends in exit 1 and one error line that names the output."""
+    signal, goals = write_inputs(tmp_path)
+    source, micro_goals = microfile_inputs(tmp_path)
+    masked = tmp_path / "m.txt"
+    for argv in (
+        ["wrm", "--length", "16", "--output", "/dev/full"],
+        repro_argv(signal, goals, "/dev/full"),
+        repro_argv(signal, goals, masked, scaled="/dev/full"),
+        repro_argv(signal, goals, masked, report="/dev/full"),
+        microfile_argv(source, "/dev/full", micro_goals),
+        [*microfile_argv(source, tmp_path / "o.csv", micro_goals), "--report", "/dev/full"],
+    ):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: I/O error: No space left on device\n" * 6
+
+
+def test_wrm_dump_to_a_closed_pipe_ends_quietly():
+    """The console script's dump stops with exit 1 and one error line when its reader leaves."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    script = "import sys; from wavemask.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", script, "wrm", "--length", "8192"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().count(b",") == 2047
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: I/O error: Broken pipe\n"
 
 
 def test_verify_accepts_scaled_output(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     bench_workloads,
+    dense,
     dense_lp,
     gather_rows,
     max_violation_loop,
@@ -168,7 +169,7 @@ def test_worked_example_system_is_feasible():
     filt = make_filter("daubechies", 2)
     wrm = build_wrm(16, 2, filt)
     a2 = decompose(Q16, filt, 2).approx
-    grid = wrm.entries @ a2
+    grid = gather_rows(wrm) @ a2
     positions = sorted(LOWER_POSITIONS + RAISE_POSITIONS)
     relations = ["<=" if i in LOWER_POSITIONS else ">=" for i in positions]
     lp = LinearProgram(wrm.row_entries(positions), wrm.shape[1], relations, grid[np.array(positions) - 1])
@@ -200,7 +201,7 @@ def test_validation_errors():
     with pytest.raises(ConfigurationError, match="column"):
         dense_lp(np.zeros((1, 0)), ("<=",), (0.0,))
     entries = (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 2.0, 3.0]))
-    assert LinearProgram(entries, 2, ("<=", "<="), (0.0, 0.0)).coeffs.tolist() == [[1.0, 2.0], [0.0, 3.0]]
+    assert dense(LinearProgram(entries, 2, ("<=", "<="), (0.0, 0.0))).tolist() == [[1.0, 2.0], [0.0, 3.0]]
     for rows, cols, values, message in (
         ([0, 0, 1], [0, 1], [1.0, 2.0, 3.0], "1-D"),
         ([[0, 0, 1]], [[0, 1, 1]], [[1.0, 2.0, 3.0]], "1-D"),
@@ -222,7 +223,7 @@ def test_entries_are_read_only_copies():
     wrm = build_wrm(64, 2, make_filter("daubechies", 2))
     entries = wrm.row_entries([3, 1, 7])
     lp = LinearProgram(entries, wrm.shape[1], (">=", "<=", ">="), (1.0, 2.0, 3.0))
-    assert lp.coeffs.tobytes() == gather_rows(wrm, np.array([3, 1, 7])).tobytes()
+    assert dense(lp).tobytes() == gather_rows(wrm, np.array([3, 1, 7])).tobytes()
     assert [part.dtype for part in lp.entries] == [np.intp, np.intp, np.float64]
     for stored, source in zip(lp.entries, entries):
         assert not stored.flags.writeable and not np.shares_memory(stored, source)
@@ -231,8 +232,7 @@ def test_entries_are_read_only_copies():
     for stored, source in zip(lp.entries, mutable):
         assert not stored.flags.writeable and not np.shares_memory(stored, source)
     mutable[2][0] = 5.0
-    assert lp.entries[2][0] == 1.0 and lp.coeffs[0, 2] == 1.0
-    assert not lp.coeffs.flags.writeable
+    assert lp.entries[2][0] == 1.0 and dense(lp)[0, 2] == 1.0
 
 
 def random_lp_with_gaps(rng) -> tuple[LinearProgram, bool, bool]:
@@ -308,7 +308,7 @@ def test_touched_columns_match_full_width_tableau():
             assert status in ("unbounded", "infeasible")
             cost_only += status == "unbounded"
         no_rows += with_bounds(lp)[2].size == 0
-        zero_column += lp.rhs.size > 0 and not np.all(np.any(lp.coeffs != 0.0, axis=0))
+        zero_column += lp.rhs.size > 0 and not np.all(np.any(dense(lp) != 0.0, axis=0))
         equality += "=" in lp.relations
         signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
         negative_rhs += bool(np.any(lp.rhs < 0.0))
@@ -354,14 +354,14 @@ def stacked_lp(rng) -> LinearProgram:
         part = random_lp_with_gaps(rng)[0]
         part = replace(part, objective=Objective(part.objective.coeffs, sense))
         if rng.random() < 0.5:
-            part = dense_lp(np.round(part.coeffs), part.relations, np.round(part.rhs), part.objective, part.bounds)
+            part = dense_lp(np.round(dense(part)), part.relations, np.round(part.rhs), part.objective, part.bounds)
         if allowed is None or solve_full_width(posed(part, optimize)).status in allowed:
             parts.append(part)
     nrows = [part.rhs.size for part in parts]
     ncols = [part.num_vars for part in parts]
     coeffs = np.zeros((sum(nrows), sum(ncols)))
     for part, r, c in zip(parts, np.cumsum(nrows) - nrows, np.cumsum(ncols) - ncols):
-        coeffs[r : r + part.rhs.size, c : c + part.num_vars] = part.coeffs
+        coeffs[r : r + part.rhs.size, c : c + part.num_vars] = dense(part)
     rhs = np.concatenate([part.rhs for part in parts])
     relations = np.concatenate([np.array(part.relations, dtype=str) for part in parts])
     costs = np.concatenate([part.objective.coeffs for part in parts])
@@ -471,7 +471,7 @@ def test_boxed_goal_lp_at_m_16384_is_optimal():
     optimize = pytest.importorskip("scipy.optimize")
     sign = np.where(np.array(lp.relations) == "<=", 1.0, -1.0)
     highs = optimize.linprog(
-        np.ones(n), A_ub=lp.coeffs * sign[:, None], b_ub=lp.rhs * sign, bounds=(-1e5, 1e5), method="highs"
+        np.ones(n), A_ub=dense(lp) * sign[:, None], b_ub=lp.rhs * sign, bounds=(-1e5, 1e5), method="highs"
     )
     assert highs.status == 0
     assert abs(sol.objective_value - highs.fun) <= 1e-9 * abs(highs.fun)

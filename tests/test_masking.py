@@ -11,7 +11,9 @@ import wavemask
 from oracles import (
     active_goals,
     bench_workloads,
+    dense,
     evaluate_goals_loop,
+    gather_rows,
     goal_rows_loop,
     mask_signal_two_results,
     round_and_repair_loop,
@@ -58,7 +60,7 @@ WORKED_GOALS = GoalSpec.from_entries(worked_goal_entries())
 def worked_parts():
     dec = decompose(Q16, D4, 2)
     wrm = build_wrm(16, 2, D4)
-    return dec, wrm, wrm.entries @ dec.approx
+    return dec, wrm, gather_rows(wrm) @ dec.approx
 
 
 def test_goal_validation():
@@ -193,7 +195,7 @@ def test_goal_table_matches_per_goal_loops():
                 build_constraints(wrm, base, goals)
         else:
             got, want = build_constraints(wrm, base, goals), goal_rows_loop(wrm, base, goals)
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert dense(got).tobytes() == dense(want).tobytes()
             assert got.relations == want.relations
             assert got.rhs.tobytes() == want.rhs.tobytes()
             rows += want.rhs.size
@@ -215,27 +217,27 @@ def test_build_constraints_worked_example_layout():
     dec, wrm, grid = worked_parts()
     lp = build_constraints(wrm, grid, WORKED_GOALS)
     assert lp.num_vars == 4
-    assert lp.coeffs.shape == (12, 4) and len(lp.relations) == 12 and lp.rhs.shape == (12,)
+    assert dense(lp).shape == (12, 4) and len(lp.relations) == 12 and lp.rhs.shape == (12,)
     expected = [(i, "<=") if i in LOWER_POSITIONS else (i, ">=") for i in sorted(LOWER_POSITIONS + RAISE_POSITIONS)]
-    for coeffs, rel, rhs, (index, relation) in zip(lp.coeffs, lp.relations, lp.rhs, expected):
+    for coeffs, rel, rhs, (index, relation) in zip(dense(lp), lp.relations, lp.rhs, expected):
         assert rel == relation
-        assert np.allclose(coeffs, wrm.rows([index])[0], atol=0)
+        assert np.allclose(coeffs, gather_rows(wrm, [index])[0], atol=0)
         assert abs(rhs - grid[index - 1]) < 1e-12
 
 
 def test_build_constraints_haar_raise():
     wrm = build_wrm(4, 1, HAAR)
-    grid = wrm.entries @ np.array([10.0, 20.0])
+    grid = gather_rows(wrm) @ np.array([10.0, 20.0])
     lp = build_constraints(wrm, grid, GoalSpec(by_index={1: Goal(kind="raise")}))
-    assert lp.coeffs.shape == (1, 2)
+    assert dense(lp).shape == (1, 2)
     assert lp.relations == (">=",)
-    assert np.allclose(lp.coeffs[0], [1 / np.sqrt(2.0), 0.0], atol=1e-12)
+    assert np.allclose(dense(lp)[0], [1 / np.sqrt(2.0), 0.0], atol=1e-12)
     assert abs(lp.rhs[0] - grid[0]) < 1e-12
 
 
 def test_build_constraints_bound_rows():
     wrm = build_wrm(4, 1, HAAR)
-    grid = wrm.entries @ np.array([1.0, 1.0])
+    grid = gather_rows(wrm) @ np.array([1.0, 1.0])
     spec = GoalSpec(by_index={2: Goal(kind="bound", lower=0.0, upper=5.0), 3: Goal(kind="bound", upper=2.0)})
     lp = build_constraints(wrm, grid, spec)
     assert list(zip(lp.relations, lp.rhs.tolist())) == [(">=", 0.0), ("<=", 5.0), ("<=", 2.0)]
@@ -456,7 +458,7 @@ def test_mask_signal_optimize_mode():
 
 def test_mask_signal_identity_config():
     dec = decompose(Q16, D4, 2)
-    grid = build_wrm(16, 2, D4).entries @ dec.approx
+    grid = gather_rows(build_wrm(16, 2, D4)) @ dec.approx
     spec = GoalSpec(by_index={
         1: Goal(kind="lower", threshold=float(grid[0]) + 1.0),
         5: Goal(kind="raise", threshold=float(grid[4]) - 1.0),
@@ -490,7 +492,7 @@ def test_lowering_the_peak_property():
         if q.sum() == 0:
             continue
         dec = decompose(q, D4, 2)
-        grid = build_wrm(16, 2, D4).entries @ dec.approx
+        grid = gather_rows(build_wrm(16, 2, D4)) @ dec.approx
         peak = int(np.argmax(grid)) + 1
         result = mask_signal(q, MaskingConfig(goals=GoalSpec(by_index={peak: Goal(kind="lower")})))
         assert result.new_approx[peak - 1] <= grid[peak - 1] + 1e-7

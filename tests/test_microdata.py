@@ -180,6 +180,25 @@ def test_write_csv_quotes_delimiter_cells(tmp_path):
     assert load_csv(path).records == (("x,y", "z"),)
 
 
+def test_carriage_return_cells_are_quoted_and_round_trip(tmp_path):
+    """A cell with a bare "\\r" is quoted, as csv.writer quotes only the characters of its line terminator."""
+    source = tmp_path / "cr.csv"
+    source.write_bytes(b'a,b\n"x\ry",1\nz,2\n')
+    path = tmp_path / "back.csv"
+    write_csv(load_csv(source), path)
+    assert path.read_bytes() == source.read_bytes()
+    for width in (1, 2, 3):
+        attributes = tuple(f"c{i}" for i in range(width))
+        for cell in ("x\ry", "\r", "a\r\nb", "\r\r"):
+            table = MicrofileTable(attributes, ((cell,) + ("q",) * (width - 1), ("z",) * width))
+            write_csv(table, path)
+            assert path.read_bytes().decode().split("\n", 1)[1].startswith(f'"{cell}"')
+            assert load_csv(path) == table
+    header = MicrofileTable(("a\rb", "c"), (("1", "2"),))
+    write_csv(header, path)
+    assert load_csv(path) == header
+
+
 def test_leading_zeros_survive_round_trip(tmp_path):
     table = MicrofileTable(attributes=("code", "n"), records=(("06010", "007"), ("00001", "0")))
     path = tmp_path / "codes.csv"
