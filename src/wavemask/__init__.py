@@ -15,7 +15,6 @@ from .masking import (
     GoalSpec,
     MaskingConfig,
     MaskingResult,
-    assemble_masked_signal,
     build_constraints,
     evaluate_goals,
     mask_signal,
@@ -73,7 +72,6 @@ __all__ = [
     "WavemaskError",
     "analysis_step",
     "apply_plan",
-    "assemble_masked_signal",
     "build_constraints",
     "build_wrm",
     "decompose",

@@ -127,6 +127,14 @@ def _get(eff: dict, key: str, default):
     return default if value is None else value
 
 
+def _switch(eff: dict, key: str) -> bool:
+    """An on/off option: true or false, absent (or null) meaning off; a config file's "false" string is no false."""
+    value = eff.get(key)
+    if not (value is None or isinstance(value, bool)):
+        raise ConfigurationError(f"--{key.replace('_', '-')} expects true or false, got {value!r}")
+    return bool(value)
+
+
 def _delimiter(eff: dict) -> str:
     value = str(_get(eff, "delimiter", ","))
     if len(value) != 1:
@@ -139,8 +147,8 @@ def _masking_config(eff: dict) -> tuple[MaskingConfig, int]:
     goals = GoalSpec.from_entries(_load_goal_entries(_require(eff, "goals", "--goals")))
     family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
     offset = _parse_offset(eff.get("offset"))
-    repair = not bool(eff.get("no_repair"))
-    if eff.get("repro"):
+    repair = not _switch(eff, "no_repair")
+    if _switch(eff, "repro"):
         # Bit-repeatable preset: no sum repair, and the shift must be pinned.
         repair = False
         if offset is None:
@@ -166,7 +174,7 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> 
     dec, lp = result.decomposition, result.lp
     original = float(result.q.sum())
     scaled = float(result.q_scaled.sum())
-    rounded = int(result.q_tilde.sum()) if result.q_tilde is not None else None
+    rounded = int(result.q_tilde.sum())
     return {
         "wavelet": dec.filters.name,
         "level": dec.level,
@@ -195,20 +203,20 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> 
         "q_hathat": _vec(result.q_shifted),
         "c": _sig12(result.scale),
         "q_scaled": _vec(result.q_scaled),
-        "q_tilde": None if result.q_tilde is None else [int(v) for v in result.q_tilde],
+        "q_tilde": [int(v) for v in result.q_tilde],
         "goal_satisfaction": [
             _with_limits(
                 {"index": c.index, "goal": c.kind, "achieved": _sig12(c.achieved), "satisfied": bool(c.satisfied)},
                 threshold=c.threshold, min=c.lower, max=c.upper,
             )
-            for c in result.goal_report or ()
+            for c in result.goal_report
         ],
         "sum_check": {
             "original_total": _sig12(original),
             "scaled_total": _sig12(scaled),
             "scaled_relative_error": _sig12(abs(scaled - original) / original) if original else 0.0,
             "rounded_total": rounded,
-            "rounded_matches": rounded == int(round(original)) if rounded is not None else None,
+            "rounded_matches": rounded == int(round(original)),
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -437,7 +445,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         defaults: dict = {}
         if args.config:
             try:
@@ -447,6 +456,11 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"{args.config}: invalid JSON ({exc})") from None
             if not isinstance(defaults, dict):
                 raise ConfigurationError(f"{args.config}: expected a JSON object")
+            # a key may belong to another subcommand, so one file can serve several
+            options = {key for command in _HANDLERS for key in vars(parser.parse_args([command]))} - {"command", "config"}
+            unknown = ", ".join(repr(key) for key in defaults if key not in options)
+            if unknown:
+                raise ConfigurationError(f"{args.config}: unknown key {unknown}: no subcommand has that option")
         given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
         eff = {**defaults, **given}
         for key in ("input", "output", "goals", "report", "scaled_output", "original", "masked"):

@@ -50,6 +50,8 @@ nothing, and ``x`` comes from the rhs column alone).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,30 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 RELATIONS = ("<=", ">=", "=")
+
+
+def _finite(value, what: str) -> float | None:
+    """``value`` as a finite float; None stays None, anything else (a bool, a string, NaN, inf) is rejected."""
+    if value is None:
+        return None
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        # checked as a float: a numpy float32 compared with float64's max overflows in its own width
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _bound_pairs(bounds, what: str) -> tuple[tuple[float | None, float | None], ...]:
+    """``bounds`` as (lower, upper) pairs, each side a finite float or None."""
+    try:
+        pairs = [(lower, upper) for lower, upper in bounds]
+    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+        raise ConfigurationError(f"{what} must be (lower, upper) pairs, got {bounds!r}") from None
+    return tuple((_finite(lower, f"{what}: a lower side"), _finite(upper, f"{what}: an upper side")) for lower, upper in pairs)
 
 
 @dataclass(frozen=True)
@@ -80,7 +106,8 @@ class LinearProgram:
 
     ``entries`` holds A as (rows, columns, values) of its non-zeros in
     row-major order, each in range, finite and non-zero, stored as read-only
-    copies.  Bounds default to unbounded; a bound of None leaves that side open.
+    copies.  Bounds default to unbounded; they are stored as one (lower,
+    upper) pair per column, each side a finite float, or None for an open side.
     """
 
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -109,9 +136,9 @@ class LinearProgram:
         if self.objective is not None and self.objective.coeffs.size != self.num_vars:
             raise ConfigurationError("objective length does not match num_vars")
         if self.bounds is not None:
-            object.__setattr__(self, "bounds", tuple(self.bounds))
+            object.__setattr__(self, "bounds", _bound_pairs(self.bounds, "bounds"))
             if len(self.bounds) != self.num_vars:
-                raise ConfigurationError("bounds length does not match num_vars")
+                raise ConfigurationError(f"{len(self.bounds)} bound pairs for {self.num_vars} columns")
 
 
 @dataclass(frozen=True)
@@ -135,8 +162,6 @@ def _bound_rows(lp: LinearProgram) -> tuple[tuple, np.ndarray, np.ndarray]:
     limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
     column, side = np.nonzero(np.not_equal(limits, None))
     rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
-    if not np.all(np.isfinite(rhs)):
-        raise ConfigurationError("constraint contains non-finite values")
     units = (lp.rhs.size + np.arange(column.size), column, np.ones(column.size))
     return tuple(map(np.concatenate, zip(lp.entries, units))), np.concatenate((relation, np.array((">=", "<="))[side])), rhs
 

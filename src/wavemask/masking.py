@@ -1,10 +1,11 @@
 """Count-signal masking by constrained rewrite of the wavelet approximation.
 
-Pipeline: decompose the signal, build per-position raise/lower/bound rows over
-the reconstruction matrix, obtain replacement approximation coefficients (the
-LP's first feasible point, its optimum under an objective, or a caller-supplied
-override vector), reassemble with the original detail bands, shift to
-non-negativity, rescale so the total is preserved, and round back to integers.
+Pipeline, run in line by ``mask_signal``, the only producer of a complete
+``MaskingResult``: decompose the signal, build per-position raise/lower/bound
+rows over the reconstruction matrix, obtain replacement approximation
+coefficients (the LP's first feasible point, its optimum under an objective,
+or a caller-supplied override vector), reassemble with the original detail
+bands, shift to non-negativity, rescale so the total is preserved, and round.
 
 Goals become rows through one table per goal set (``GoalSpec.table``, built
 on first use): the non-free positions in order and, per limit row, its goal,
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError
-from .lp import LinearProgram, Objective, max_violation, solve
+from .lp import LinearProgram, Objective, _bound_pairs, _finite, max_violation, solve
 from .wavelet import Decomposition, FilterPair, _frozen, as_signal, decompose, make_filter, reconstruct_component
 from .wrm import ReconstructionMatrix, build_wrm
 
@@ -38,21 +39,6 @@ OVERRIDE_SLACK = 1.0
 
 GOAL_KINDS = ("raise", "lower", "free", "bound")
 GOAL_KEYS = ("index", "goal", "min", "max")
-
-
-def _finite(value) -> float | None:
-    """A goal limit or a coefficient bound as a finite float; None stays None, anything else is rejected."""
-    if value is None:
-        return None
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        # checked as a float: a numpy float32 compared with float64's max overflows in its own width
-        number = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"goal threshold, min and max must be finite numbers, got {value!r}")
-    return number
 
 
 def _position(index) -> int:
@@ -77,8 +63,8 @@ class Goal:
     upper: float | None = None
 
     def __post_init__(self):
-        for name in ("threshold", "lower", "upper"):
-            object.__setattr__(self, name, _finite(getattr(self, name)))
+        for name, key in (("threshold", "threshold"), ("lower", "min"), ("upper", "max")):
+            object.__setattr__(self, name, _finite(getattr(self, name), f"goal {key}"))
         if self.kind not in GOAL_KINDS:
             raise ConfigurationError(f"unknown goal kind {self.kind!r}")
         if self.kind == "bound" and self.lower is None and self.upper is None:
@@ -181,12 +167,9 @@ class MaskingConfig:
         if self.fixed_offset is not None and self.fixed_offset < 0:
             raise ConfigurationError(f"fixed offset must be >= 0, got {self.fixed_offset}")
         if self.coefficient_bounds is not None:
-            try:
-                boxes = tuple(tuple(map(_finite, box)) for box in self.coefficient_bounds)
-            except (TypeError, ConfigurationError):  # not iterable, or a side that is not a finite number
-                boxes = ((),)
-            if not all(len(box) == 2 and None not in box for box in boxes):
-                raise ConfigurationError("coefficient bounds must be (lower, upper) pairs of finite numbers")
+            boxes = _bound_pairs(self.coefficient_bounds, "coefficient bounds")
+            if any(None in box for box in boxes):
+                raise ConfigurationError(f"coefficient bounds must be finite on both sides, got {self.coefficient_bounds!r}")
             if any(lower > upper for lower, upper in boxes):
                 raise ConfigurationError(f"coefficient bounds need lower <= upper, got {self.coefficient_bounds!r}")
             object.__setattr__(self, "coefficient_bounds", boxes)
@@ -226,17 +209,15 @@ class MaskingResult:
     q_shifted: np.ndarray
     scale: float
     q_scaled: np.ndarray
-    q_tilde: np.ndarray | None = None
-    goal_report: tuple[GoalCheck, ...] | None = None
-    lp: LinearProgram | None = None
-    base_approx: np.ndarray | None = None
+    q_tilde: np.ndarray
+    goal_report: tuple[GoalCheck, ...]
+    lp: LinearProgram
+    base_approx: np.ndarray
 
     def __post_init__(self):
         for name in ("q", "new_coeffs", "new_approx", "q_hat", "q_shifted", "q_scaled", "base_approx"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if self.q_tilde is not None:
-            object.__setattr__(self, "q_tilde", _frozen(self.q_tilde, np.int64))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "q_tilde", _frozen(self.q_tilde, np.int64))
 
 
 def _limit_rows(goals: GoalSpec, approx: np.ndarray, length: int) -> tuple[GoalTable, np.ndarray, np.ndarray]:
@@ -288,61 +269,6 @@ def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
     if solution.status == "unbounded":
         raise MaskingError("objective unbounded over the goal region; tighten the coefficient bounds")
     return solution.x
-
-
-def assemble_masked_signal(
-    q,
-    dec: Decomposition,
-    new_coeffs,
-    config: MaskingConfig,
-    wrm: ReconstructionMatrix | None = None,
-) -> MaskingResult:
-    """Rebuild the signal from replacement coefficients; stops before rounding.
-
-    Reassembly adds the untouched detail bands, shifts everything by a
-    non-negativity offset, then rescales so the total matches the original.
-    """
-    return MaskingResult(**_reassembled(q, dec, new_coeffs, config, wrm))
-
-
-def _reassembled(q, dec: Decomposition, new_coeffs, config: MaskingConfig, wrm: ReconstructionMatrix | None) -> dict:
-    q = as_signal(q)
-    if wrm is None:
-        wrm = build_wrm(dec.length, dec.level, dec.filters)
-    new_coeffs = np.asarray(new_coeffs, dtype=np.float64)
-    new_approx = wrm.apply(new_coeffs)
-
-    q_hat = new_approx.copy()
-    for j, band in enumerate(dec.details, start=1):
-        q_hat += reconstruct_component(band, "detail", j, dec.length, dec.filters)
-
-    low = q_hat.min()
-    if low >= 0.0:
-        offset = 0.0
-    elif config.fixed_offset is None:
-        offset = float(math.ceil(-low))
-    else:
-        offset = float(config.fixed_offset)
-    q_shifted = q_hat + offset
-    if q_shifted.min() < 0.0:
-        raise MaskingError(
-            f"fixed offset {offset} too small: shifted signal still reaches {q_shifted.min():.6g}"
-        )
-    total = q_shifted.sum()
-    if total <= 0.0:
-        raise MaskingError("degenerate scale: shifted signal sums to zero")
-    scale = q.sum() / total
-    return dict(
-        q=q,
-        decomposition=dec,
-        new_coeffs=new_coeffs,
-        new_approx=new_approx,
-        q_hat=q_hat,
-        offset=offset,
-        q_shifted=q_shifted,
-        scale=float(scale),
-        q_scaled=scale * q_shifted,
-    )
 
 
 def round_half_away(values) -> np.ndarray:
@@ -399,7 +325,7 @@ def evaluate_goals(new_approx, base_approx, goals: GoalSpec) -> tuple[GoalCheck,
 
 
 def mask_signal(q, config: MaskingConfig) -> MaskingResult:
-    """Full pipeline from integer counts to masked integer counts."""
+    """Full pipeline from integer counts to masked integer counts, the reassembly included."""
     q = as_signal(q)
     if q.min() < 0 or not np.array_equal(q, np.floor(q)):
         raise DataError("quantity signal must contain non-negative integers")
@@ -409,7 +335,29 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     base_approx = wrm.apply(dec.approx)
     lp = build_constraints(wrm, base_approx, config.goals)
     new_coeffs = solve_approximation(lp, config)
-    parts = _reassembled(q, dec, new_coeffs, config, wrm)
-    q_tilde = round_and_repair(parts["q_scaled"], int(round(q.sum())), config.sum_repair)
-    report = evaluate_goals(parts["new_approx"], base_approx, config.goals)
-    return MaskingResult(**parts, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)
+    new_approx = wrm.apply(new_coeffs)
+
+    q_hat = new_approx.copy()
+    for j, band in enumerate(dec.details, start=1):
+        q_hat += reconstruct_component(band, "detail", j, dec.length, filters)
+
+    low = q_hat.min()
+    if low >= 0.0:
+        offset = 0.0
+    elif config.fixed_offset is None:
+        offset = float(math.ceil(-low))
+    else:
+        offset = float(config.fixed_offset)
+    q_shifted = q_hat + offset
+    if q_shifted.min() < 0.0:
+        raise MaskingError(f"fixed offset {offset} too small: shifted signal still reaches {q_shifted.min():.6g}")
+    total = q_shifted.sum()
+    if total <= 0.0:
+        raise MaskingError("degenerate scale: shifted signal sums to zero")
+    scale = q.sum() / total
+    q_scaled = scale * q_shifted
+    q_tilde = round_and_repair(q_scaled, int(round(q.sum())), config.sum_repair)
+    report = evaluate_goals(new_approx, base_approx, config.goals)
+    return MaskingResult(
+        q, dec, new_coeffs, new_approx, q_hat, offset, q_shifted, float(scale), q_scaled, q_tilde, report, lp, base_approx
+    )

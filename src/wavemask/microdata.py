@@ -144,8 +144,8 @@ class ModificationPlan:
             seen.add(move.record)
 
 
-def load_csv(source, delimiter: str = ",", has_header: bool = True) -> MicrofileTable:
-    """Read a delimited text file into a table, cells kept verbatim."""
+def load_csv(source, delimiter: str = ",") -> MicrofileTable:
+    """Read a delimited text file, header row first, into a table, cells kept verbatim."""
     try:
         with open(source, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
@@ -157,14 +157,9 @@ def load_csv(source, delimiter: str = ",", has_header: bool = True) -> Microfile
         raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if first is None:
         raise DataError(f"{source}: empty file")
-    if has_header:
-        attributes = tuple(first)
-    else:
-        attributes = tuple(f"col_{i}" for i in range(1, len(first) + 1))
-        records = (tuple(first), *records)
-    width, first_line = len(attributes), 2 if has_header else 1
+    attributes, width = tuple(first), len(first)
     if not set(map(len, records)) <= {width}:
-        number, row = next((n, row) for n, row in enumerate(records, start=first_line) if len(row) != width)
+        number, row = next((n, row) for n, row in enumerate(records, start=2) if len(row) != width)
         raise DataError(f"{source}: row {number} has {len(row)} cells, expected {width}")
     if len(set(attributes)) != width:
         raise DataError(f"{source}: attribute names must be unique")

@@ -10,8 +10,8 @@ import csv
 import importlib.util
 import io
 import itertools
+import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objectiv
 from wavemask.masking import (
     GOAL_TOL,
     GoalCheck,
-    assemble_masked_signal,
+    MaskingResult,
     build_constraints,
     evaluate_goals,
     round_and_repair,
@@ -29,7 +29,7 @@ from wavemask.masking import (
     solve_approximation,
 )
 from wavemask.microdata import MicrofileTable, Move
-from wavemask.wavelet import as_signal, decompose
+from wavemask.wavelet import as_signal, decompose, reconstruct_component
 from wavemask.wrm import build_wrm
 
 
@@ -83,17 +83,49 @@ def reconstruct_component_add_at(coeffs, kind: str, level: int, filters) -> np.n
 
 
 def mask_signal_two_results(q, config):
-    """``mask_signal`` as it was built before: ``assemble_masked_signal``'s result, then a ``replace`` adding the rest."""
+    """``mask_signal`` as it was built from two results: the reassembly as a function of its own, then the rest.
+
+    The reassembly keeps its standalone form: its own copy of q, the detail
+    bands through the decomposition's filters, and the offset cases one by one.
+    """
     q = as_signal(q)
     filters = config.filters()
     dec = decompose(q, filters, config.level)
     wrm = build_wrm(dec.length, dec.level, filters)
     base_approx = wrm.apply(dec.approx)
     lp = build_constraints(wrm, base_approx, config.goals)
-    result = assemble_masked_signal(q, dec, solve_approximation(lp, config), config, wrm=wrm)
-    q_tilde = round_and_repair(result.q_scaled, int(round(q.sum())), config.sum_repair)
-    report = evaluate_goals(result.new_approx, base_approx, config.goals)
-    return replace(result, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)
+    parts = _reassembled(q, dec, solve_approximation(lp, config), config, wrm)
+    q_tilde = round_and_repair(parts["q_scaled"], int(round(q.sum())), config.sum_repair)
+    report = evaluate_goals(parts["new_approx"], base_approx, config.goals)
+    return MaskingResult(**parts, q_tilde=q_tilde, goal_report=report, lp=lp, base_approx=base_approx)
+
+
+def _reassembled(q, dec, new_coeffs, config, wrm) -> dict:
+    """Detail bands added back, the non-negativity shift and the rescale to q's total, as named result fields."""
+    q = as_signal(q)
+    new_coeffs = np.asarray(new_coeffs, dtype=np.float64)
+    new_approx = wrm.apply(new_coeffs)
+    q_hat = new_approx.copy()
+    for j, band in enumerate(dec.details, start=1):
+        q_hat += reconstruct_component(band, "detail", j, dec.length, dec.filters)
+    low = q_hat.min()
+    if low >= 0.0:
+        offset = 0.0
+    elif config.fixed_offset is None:
+        offset = float(math.ceil(-low))
+    else:
+        offset = float(config.fixed_offset)
+    q_shifted = q_hat + offset
+    if q_shifted.min() < 0.0:
+        raise MaskingError(f"fixed offset {offset} too small: shifted signal still reaches {q_shifted.min():.6g}")
+    total = q_shifted.sum()
+    if total <= 0.0:
+        raise MaskingError("degenerate scale: shifted signal sums to zero")
+    scale = q.sum() / total
+    return dict(
+        q=q, decomposition=dec, new_coeffs=new_coeffs, new_approx=new_approx, q_hat=q_hat, offset=offset,
+        q_shifted=q_shifted, scale=float(scale), q_scaled=scale * q_shifted,
+    )
 
 
 def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:

@@ -496,6 +496,39 @@ def test_non_numeric_config_options_are_usage_errors(tmp_path):
         assert main(argv) == 1
 
 
+def test_misspelt_config_key_is_a_usage_error(tmp_path, capsys):
+    signal, goals = write_inputs(tmp_path)
+    out = tmp_path / "masked.txt"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"levle": 3, "goals": str(goals)}))
+    assert main(["--config", str(config), "mask-signal", "--input", str(signal), "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'levle'" in err
+    # a key of another subcommand is no mistake: one file may serve several
+    config.write_text(json.dumps({"level": 1, "goals": str(goals), "length": 16, "tol": 1e-6, "vital": ["mil=1"]}))
+    assert main(["--config", str(config), "mask-signal", "--input", str(signal), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("key", ["no_repair", "repro"])
+def test_boolean_config_options_take_only_true_or_false(tmp_path, capsys, key):
+    signal, goals = write_inputs(tmp_path)
+    report = tmp_path / "report.json"
+    config = tmp_path / "run.json"
+    argv = ["--config", str(config), "mask-signal", "--input", str(signal), "--goals", str(goals),
+            "--output", str(tmp_path / "o.txt"), "--report", str(report), "--offset", "2500",
+            "--override-coeffs", OVERRIDE]
+    for value in ("false", "true", 0, 1, [], {}):
+        config.write_text(json.dumps({key: value}))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --{key.replace('_', '-')} expects true or false, got {value!r}\n"
+    assert not report.exists()
+    for given, repair in ((False, True), (None, True), (True, False)):
+        config.write_text(json.dumps({key: given}))
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["options"]["sum_repair"] is repair
+
+
 def test_wrm_length_below_two_is_a_usage_error(capsys):
     assert main(["wrm", "--length", "0", "--level", "1"]) == 1
     assert main(["wrm", "--length", "-4", "--level", "1"]) == 1

@@ -219,6 +219,31 @@ def test_validation_errors():
             LinearProgram((rows, cols, values), 2, ("<=", "<="), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (((0.0, 1.0, 2.0), (0.0, 1.0)), "pairs"),
+    ((5.0, (0.0, 1.0)), "pairs"),
+    (5.0, "pairs"),
+    ((("0", "1"), (0.0, 1.0)), "lower side must be a finite number, got '0'"),
+    (((True, 2.0), (0.0, 1.0)), "lower side must be a finite number, got True"),
+    (((0.0, np.nan), (0.0, 1.0)), "upper side must be a finite number, got nan"),
+    (((0.0, np.inf), (0.0, 1.0)), "upper side must be a finite number"),
+    (((0.0, 1.0),), "1 bound pairs for 2 columns"),
+    (((0.0, 1.0),) * 3, "3 bound pairs for 2 columns"),
+])
+def test_malformed_bounds_are_rejected_at_construction(bounds, message):
+    entries = (np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
+    with pytest.raises(ConfigurationError, match=message):
+        LinearProgram(entries, 2, (">=",), (1.0,), bounds=bounds)
+
+
+def test_bounds_are_stored_as_float_or_none_pairs():
+    entries = (np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
+    lp = LinearProgram(entries, 2, (">=",), (1.0,), bounds=[[np.int64(0), None], (None, np.float32(2.5))])
+    assert lp.bounds == ((0.0, None), (None, 2.5))
+    assert [type(side) for pair in lp.bounds for side in pair] == [float, type(None), type(None), float]
+    assert solve(lp).status == "feasible"
+
+
 def test_entries_are_read_only_copies():
     wrm = build_wrm(64, 2, make_filter("daubechies", 2))
     entries = wrm.row_entries([3, 1, 7])

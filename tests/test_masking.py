@@ -40,7 +40,6 @@ from wavemask.masking import (
     MaskingConfig,
     MaskingResult,
     _position,
-    assemble_masked_signal,
     build_constraints,
     evaluate_goals,
     mask_signal,
@@ -310,9 +309,8 @@ def test_solve_approximation_reports_infeasible():
 
 
 def test_assemble_identity_when_coeffs_unchanged():
-    dec, wrm, grid = worked_parts()
-    config = MaskingConfig(goals=WORKED_GOALS)
-    result = assemble_masked_signal(Q16, dec, dec.approx, config, wrm=wrm)
+    dec = decompose(Q16, D4, 2)
+    result = mask_signal(Q16, MaskingConfig(goals=WORKED_GOALS, override_coeffs=tuple(dec.approx)))
     assert np.allclose(result.q_hat, Q16, atol=1e-9)
     assert result.offset == 0.0
     assert abs(result.scale - 1.0) < 1e-12
@@ -320,9 +318,7 @@ def test_assemble_identity_when_coeffs_unchanged():
 
 
 def test_assemble_auto_offset_clears_negatives():
-    dec, wrm, grid = worked_parts()
-    config = MaskingConfig(goals=WORKED_GOALS)
-    result = assemble_masked_signal(Q16, dec, A2_HAT, config, wrm=wrm)
+    result = mask_signal(Q16, MaskingConfig(goals=WORKED_GOALS, override_coeffs=tuple(A2_HAT)))
     low = result.q_hat.min()
     assert low < 0.0
     assert result.offset == np.ceil(-low)
@@ -331,25 +327,23 @@ def test_assemble_auto_offset_clears_negatives():
 
 
 def test_assemble_fixed_offset_paths():
-    dec, wrm, grid = worked_parts()
-    good = MaskingConfig(goals=WORKED_GOALS, fixed_offset=OFFSET)
-    result = assemble_masked_signal(Q16, dec, A2_HAT, good, wrm=wrm)
+    good = MaskingConfig(goals=WORKED_GOALS, fixed_offset=OFFSET, override_coeffs=tuple(A2_HAT))
+    result = mask_signal(Q16, good)
     assert result.offset == OFFSET
     assert np.allclose(result.q_shifted, result.q_hat + OFFSET, atol=0)
 
-    small = MaskingConfig(goals=WORKED_GOALS, fixed_offset=10.0)
+    small = dataclasses.replace(good, fixed_offset=10.0)
     with pytest.raises(MaskingError, match="offset"):
-        assemble_masked_signal(Q16, dec, A2_HAT, small, wrm=wrm)
+        mask_signal(Q16, small)
 
 
 def test_assemble_degenerate_scale():
     spec = GoalSpec(by_index={1: Goal(kind="lower")})
-    config = MaskingConfig(goals=spec, level=1, fixed_offset=5.0)
+    # the Haar coefficient rebuilding to a constant -5 signal; the shift lands on zero
+    config = MaskingConfig(goals=spec, order=1, level=1, fixed_offset=5.0, override_coeffs=(-5.0 * np.sqrt(2.0),))
     q = np.array([0.0, 0.0])
-    dec = decompose(q, HAAR, 1)
-    # coefficients rebuilding to a constant -5 signal; the shift lands on zero
     with pytest.raises(MaskingError, match="degenerate"):
-        assemble_masked_signal(q, dec, np.array([-5.0 * np.sqrt(2.0)]), config)
+        mask_signal(q, config)
 
 
 def test_round_half_away_from_zero():
@@ -533,7 +527,7 @@ def test_mask_signal_builds_one_result(monkeypatch):
 
 
 def test_mask_signal_matches_two_result_build():
-    """Every field bit for bit as assemble_masked_signal + replace gave it, on signal-wide seed 1 ops 0-99."""
+    """Every field bit for bit as the reference reassembly gives it, on signal-wide seed 1 ops 0-99."""
     workloads = bench_workloads()
     workload = workloads.WORKLOADS["signal-wide"]
     for index in range(100):
@@ -592,6 +586,12 @@ def test_inverted_coefficient_bound_pair_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="lower <= upper"):
         MaskingConfig(goals=goals, coefficient_bounds=((1.0, 0.0),) * 4)
     assert MaskingConfig(goals=goals, coefficient_bounds=((0.5, 0.5),) * 4).coefficient_bounds == ((0.5, 0.5),) * 4
+
+
+def test_bound_pair_count_error_names_both_counts():
+    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=((0, 1),) * 3)
+    with pytest.raises(ConfigurationError, match="3 bound pairs for 4 columns"):
+        mask_signal(Q16, config)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

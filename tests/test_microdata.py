@@ -119,14 +119,6 @@ def test_load_csv_basic(tmp_path):
     assert table.records == (("1", "x"), ("2", "y"))
 
 
-def test_load_csv_without_header(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("1,x\n2,y\n")
-    table = load_csv(path, has_header=False)
-    assert table.attributes == ("col_1", "col_2")
-    assert len(table) == 2
-
-
 def test_load_csv_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("A,B\n1,x\n2\n")
@@ -143,19 +135,15 @@ def test_load_csv_ragged_last_row(tmp_path):
     ragged.write_text("A,B\n1,x\n2,y\n3,z,extra\n")
     with pytest.raises(DataError, match="row 4 has 3 cells, expected 2"):
         load_csv(ragged)
-    with pytest.raises(DataError, match="row 4 has 3 cells, expected 2"):
-        load_csv(ragged, has_header=False)
 
 
 def test_load_csv_header_only(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("mil,area\n")
-    for table in (load_csv(path), load_csv(path, has_header=True)):
-        assert table.attributes == ("mil", "area")
-        assert table.records == ()
-        assert extract_quantity_signal(table, MIL_AREAS).tolist() == [0, 0]
-    # without a header row the one line is a record
-    assert load_csv(path, has_header=False).records == (("mil", "area"),)
+    table = load_csv(path)
+    assert table.attributes == ("mil", "area")
+    assert table.records == ()
+    assert extract_quantity_signal(table, MIL_AREAS).tolist() == [0, 0]
 
 
 def test_load_csv_duplicate_header(tmp_path):
@@ -333,7 +321,7 @@ def test_loaded_and_rewritten_tables_equal_checked_tables(tmp_path):
         q_tilde = rng.multinomial(int(q.sum()), [1 / 3] * 3)
         rewritten = apply_plan(loaded, plan_resynthesis(loaded, spec, q, q_tilde, seed=case))
         assert extract_quantity_signal(rewritten, spec).tolist() == q_tilde.tolist()
-        for built in (loaded, load_csv(path, has_header=False), rewritten):
+        for built in (loaded, rewritten):
             assert built == MicrofileTable(built.attributes, built.records)
             assert type(built.attributes) is tuple and all(type(name) is str for name in built.attributes)
             assert type(built.records) is tuple
