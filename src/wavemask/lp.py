@@ -80,15 +80,6 @@ def _finite(value, what: str) -> float | None:
     return number
 
 
-def _bound_pairs(bounds, what: str) -> tuple[tuple[float | None, float | None], ...]:
-    """``bounds`` as (lower, upper) pairs, each side a finite float or None."""
-    try:
-        pairs = [(lower, upper) for lower, upper in bounds]
-    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
-        raise ConfigurationError(f"{what} must be (lower, upper) pairs, got {bounds!r}") from None
-    return tuple((_finite(lower, f"{what}: a lower side"), _finite(upper, f"{what}: an upper side")) for lower, upper in pairs)
-
-
 @dataclass(frozen=True)
 class Objective:
     coeffs: np.ndarray
@@ -136,7 +127,12 @@ class LinearProgram:
         if self.objective is not None and self.objective.coeffs.size != self.num_vars:
             raise ConfigurationError("objective length does not match num_vars")
         if self.bounds is not None:
-            object.__setattr__(self, "bounds", _bound_pairs(self.bounds, "bounds"))
+            try:
+                pairs = tuple((_finite(lower, "bounds: a lower side"), _finite(upper, "bounds: an upper side"))
+                              for lower, upper in self.bounds)
+            except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+                raise ConfigurationError(f"bounds must be (lower, upper) pairs, got {self.bounds!r}") from None
+            object.__setattr__(self, "bounds", pairs)
             if len(self.bounds) != self.num_vars:
                 raise ConfigurationError(f"{len(self.bounds)} bound pairs for {self.num_vars} columns")
 

@@ -3,9 +3,9 @@
 Pipeline, run in line by ``mask_signal``, the only producer of a complete
 ``MaskingResult``: decompose the signal, build per-position raise/lower/bound
 rows over the reconstruction matrix, obtain replacement approximation
-coefficients (the LP's first feasible point, its optimum under an objective,
-or a caller-supplied override vector), reassemble with the original detail
-bands, shift to non-negativity, rescale so the total is preserved, and round.
+coefficients (the LP's first feasible point, or a caller-supplied override
+vector), reassemble with the original detail bands, shift to
+non-negativity, rescale so the total is preserved, and round.
 
 Goals become rows through one table per goal set (``GoalSpec.table``, built
 on first use): the non-free positions in order and, per limit row, its goal,
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError
-from .lp import LinearProgram, Objective, _bound_pairs, _finite, max_violation, solve
+from .lp import LinearProgram, _finite, max_violation, solve
 from .wavelet import Decomposition, FilterPair, _frozen, as_signal, decompose, make_filter, reconstruct_component
 from .wrm import ReconstructionMatrix, build_wrm
 
@@ -39,13 +39,15 @@ OVERRIDE_SLACK = 1.0
 
 GOAL_KINDS = ("raise", "lower", "free", "bound")
 GOAL_KEYS = ("index", "goal", "min", "max")
+INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _position(index) -> int:
-    """A 1-based signal position; booleans and non-integral numbers are rejected."""
-    # index % 1 is 0 for a whole number, and non-zero or nan otherwise
-    if isinstance(index, bool) or not isinstance(index, (numbers.Integral, float)) or index < 1 or index % 1:
-        raise ConfigurationError(f"goal index must be a positive integer, got {index!r}")
+    """A 1-based signal position in the intp range; booleans and non-integral numbers are rejected."""
+    number = isinstance(index, (numbers.Integral, float)) and not isinstance(index, bool)
+    # NaN fails the range test, and a fraction the remainder test
+    if not (number and 1 <= index <= INTP_MAX and index % 1 == 0):
+        raise ConfigurationError(f"goal index must be an integer from 1 to {INTP_MAX}, got {index!r}")
     return int(index)
 
 
@@ -53,26 +55,26 @@ def _position(index) -> int:
 class Goal:
     """Target for one signal position.
 
-    raise/lower compare the rebuilt approximation against ``threshold``
-    (defaulting to its current value); bound pins it between absolute limits.
+    raise/lower keep the rebuilt approximation at or above/below its current
+    value; bound pins it between absolute limits, a min, a max (no less than
+    the min), or both.
     """
 
     kind: str
-    threshold: float | None = None
     lower: float | None = None
     upper: float | None = None
 
     def __post_init__(self):
-        for name, key in (("threshold", "threshold"), ("lower", "min"), ("upper", "max")):
+        for name, key in (("lower", "min"), ("upper", "max")):
             object.__setattr__(self, name, _finite(getattr(self, name), f"goal {key}"))
         if self.kind not in GOAL_KINDS:
             raise ConfigurationError(f"unknown goal kind {self.kind!r}")
         if self.kind == "bound" and self.lower is None and self.upper is None:
             raise ConfigurationError("bound goal needs a min, a max, or both")
-        if self.kind in ("free", "bound") and self.threshold is not None:
-            raise ConfigurationError(f"{self.kind} goal does not take a threshold")
-        if self.kind in ("raise", "lower", "free") and (self.lower is not None or self.upper is not None):
+        if self.kind != "bound" and (self.lower is not None or self.upper is not None):
             raise ConfigurationError(f"{self.kind} goal does not take min/max limits")
+        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+            raise ConfigurationError(f"bound goal needs min <= max, got min {self.lower} and max {self.upper}")
 
 
 class GoalTable(NamedTuple):
@@ -119,23 +121,23 @@ class GoalSpec:
     def table(self) -> GoalTable:
         """The goal table, built on first use.
 
-        raise gives one ">=" row and lower one "<=" row, at ``threshold`` or
-        else the current value; bound gives ">=" at its min and "<=" at its
-        max, for each limit it has.
+        raise gives one ">=" row and lower one "<=" row, at the current
+        value; bound gives ">=" at its min and "<=" at its max, for each
+        limit it has.
         """
         by_index = self.by_index
-        goals = [(i, g.kind, g.threshold, g.lower, g.upper) for i in sorted(by_index) if (g := by_index[i]).kind != "free"]
-        positions, kinds, *limits = zip(*goals) if goals else ((),) * 5
-        # NaN: a limit the goal lacks, or a threshold left to the current value
-        threshold, lower, upper = np.array([[math.nan if v is None else v for v in column] for column in limits]).reshape(3, -1)
+        goals = [(i, g.kind, g.lower, g.upper) for i in sorted(by_index) if (g := by_index[i]).kind != "free"]
+        positions, kinds, *limits = zip(*goals) if goals else ((),) * 4
+        # NaN: a limit the goal lacks, which for raise and lower is the current value
+        lower, upper = np.array([[math.nan if v is None else v for v in column] for column in limits]).reshape(2, -1)
         kinds = np.array(kinds, dtype=str)
         bound = kinds == "bound"
-        # each goal's two candidate rows: its threshold or min, then its max
+        # each goal's two candidate rows: its min (raise and lower: the current value), then its max
         goal, second = np.nonzero(np.stack((~bound | ~np.isnan(lower), bound & ~np.isnan(upper)), axis=1))
         starts = np.searchsorted(goal, np.arange(len(goals)))
         at_least = (second == 0) & (kinds[goal] != "lower")
-        fixed = np.where(second == 0, np.where(bound, lower, threshold)[goal], upper[goal])
-        return GoalTable(np.array(positions, dtype=np.intp), kinds, limits[1], limits[2], starts, goal, at_least, fixed)
+        fixed = np.where(second == 0, lower[goal], upper[goal])
+        return GoalTable(np.array(positions, dtype=np.intp), kinds, *limits, starts, goal, at_least, fixed)
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,9 @@ class MaskingConfig:
     """Everything that parameterizes one masking run.
 
     ``fixed_offset`` of None selects the automatic shift (smallest integer
-    making the reassembled signal non-negative).  Rounding is always half
-    away from zero.  ``coefficient_bounds``, one finite (lower, upper) pair
-    per approximation coefficient, bound the replacement coefficients
-    whenever they are set, an override included.  An ``objective`` makes the
-    LP optimize over them instead of stopping at its first feasible point;
-    it needs the bounds, since raise goals alone leave the region unbounded.
+    making the reassembled signal non-negative); a fixed one, like each
+    ``override_coeffs`` value, is a finite float.  Rounding is always half
+    away from zero.
     """
 
     goals: GoalSpec
@@ -156,29 +155,18 @@ class MaskingConfig:
     order: int = 2
     level: int = 2
     fixed_offset: float | None = None
-    objective: Objective | None = None
-    coefficient_bounds: tuple[tuple[float, float], ...] | None = None
     override_coeffs: tuple[float, ...] | None = None
     sum_repair: bool = True
 
     def __post_init__(self):
         if self.level < 1:
             raise ConfigurationError(f"level must be >= 1, got {self.level}")
+        object.__setattr__(self, "fixed_offset", _finite(self.fixed_offset, "fixed offset"))
         if self.fixed_offset is not None and self.fixed_offset < 0:
             raise ConfigurationError(f"fixed offset must be >= 0, got {self.fixed_offset}")
-        if self.coefficient_bounds is not None:
-            boxes = _bound_pairs(self.coefficient_bounds, "coefficient bounds")
-            if any(None in box for box in boxes):
-                raise ConfigurationError(f"coefficient bounds must be finite on both sides, got {self.coefficient_bounds!r}")
-            if any(lower > upper for lower, upper in boxes):
-                raise ConfigurationError(f"coefficient bounds need lower <= upper, got {self.coefficient_bounds!r}")
-            object.__setattr__(self, "coefficient_bounds", boxes)
-        elif self.objective is not None:
-            raise ConfigurationError("an objective needs finite coefficient bounds")
         if self.override_coeffs is not None:
-            object.__setattr__(self, "override_coeffs", tuple(float(v) for v in self.override_coeffs))
-            if not all(map(math.isfinite, self.override_coeffs)):
-                raise ConfigurationError(f"override coefficients must be finite, got {self.override_coeffs}")
+            values = tuple(_finite(v, "an override coefficient") for v in self.override_coeffs)
+            object.__setattr__(self, "override_coeffs", values)
 
     def filters(self) -> FilterPair:
         return make_filter(self.family, self.order)
@@ -234,9 +222,9 @@ def _limit_rows(goals: GoalSpec, approx: np.ndarray, length: int) -> tuple[GoalT
 def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> LinearProgram:
     """Turn per-position goals into rows over the replacement coefficients.
 
-    A goal at position i gives its table rows over wrm row i, with the
-    current approximation value at i for a missing threshold.  Rows are
-    emitted in ascending position order, read off the operator in one call.
+    A goal at position i gives its table rows over wrm row i, raise and lower
+    at the current approximation value there.  Rows are emitted in ascending
+    position order, read off the operator in one call.
     """
     table, at, rhs = _limit_rows(goals, np.asarray(approx, dtype=np.float64), wrm.length)
     if not table.positions.size:
@@ -247,27 +235,22 @@ def build_constraints(wrm: ReconstructionMatrix, approx, goals: GoalSpec) -> Lin
 def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
     """Pick replacement coefficients satisfying the constraint rows.
 
-    ``coefficient_bounds``, when set, join the rows first.  With
-    ``override_coeffs`` set the supplied vector is re-verified against every
-    row and bound (within OVERRIDE_SLACK) and returned as-is; otherwise the
-    LP is solved, optimized when ``objective`` is set.
+    With ``override_coeffs`` set the supplied vector is re-verified against
+    every row (within OVERRIDE_SLACK) and returned as-is; otherwise it is the
+    LP's first feasible point.
     """
-    if config.coefficient_bounds is not None:
-        lp = replace(lp, objective=config.objective, bounds=config.coefficient_bounds)
     if config.override_coeffs is not None:
         x = np.asarray(config.override_coeffs, dtype=np.float64)
         if x.size != lp.num_vars:
             raise ConfigurationError(f"override has {x.size} coefficients, constraints expect {lp.num_vars}")
         worst = max_violation(lp, x)
         if worst > OVERRIDE_SLACK:
-            raise MaskingError(f"override coefficients violate the goal rows or bounds by up to {worst:.6g}")
+            raise MaskingError(f"override coefficients violate the goal rows by up to {worst:.6g}")
         return x
 
     solution = solve(lp)
     if solution.status == "infeasible":
         raise MaskingError("goals unsatisfiable: no coefficient vector meets every row")
-    if solution.status == "unbounded":
-        raise MaskingError("objective unbounded over the goal region; tighten the coefficient bounds")
     return solution.x
 
 
@@ -286,8 +269,8 @@ def round_and_repair(q_scaled, target_sum: int, sum_repair: bool = True) -> np.n
     element's second unit; more passes follow only past that or at zeros.
     """
     scaled = np.asarray(q_scaled, dtype=np.float64)
-    if scaled.min() < 0.0:
-        raise MaskingError("cannot round a signal with negative entries")
+    if not np.all(scaled >= 0.0):  # a NaN fails this too
+        raise MaskingError("cannot round a signal with a negative or NaN entry")
     out = round_half_away(scaled)
     if not sum_repair:
         return out
@@ -335,11 +318,13 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     base_approx = wrm.apply(dec.approx)
     lp = build_constraints(wrm, base_approx, config.goals)
     new_coeffs = solve_approximation(lp, config)
-    new_approx = wrm.apply(new_coeffs)
-
-    q_hat = new_approx.copy()
-    for j, band in enumerate(dec.details, start=1):
-        q_hat += reconstruct_component(band, "detail", j, dec.length, filters)
+    with np.errstate(over="ignore", invalid="ignore"):  # a q_hat that is not finite is refused below
+        new_approx = wrm.apply(new_coeffs)
+        q_hat = new_approx.copy()
+        for j, band in enumerate(dec.details, start=1):
+            q_hat += reconstruct_component(band, "detail", j, dec.length, filters)
+    if not np.all(np.isfinite(q_hat)):
+        raise MaskingError("reassembled signal is not finite: it overflows the float range")
 
     low = q_hat.min()
     if low >= 0.0:
@@ -347,14 +332,15 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     elif config.fixed_offset is None:
         offset = float(math.ceil(-low))
     else:
-        offset = float(config.fixed_offset)
-    q_shifted = q_hat + offset
+        offset = config.fixed_offset
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflow or a zero total is refused below
+        q_shifted = q_hat + offset
+        total = q_shifted.sum()
+        scale = q.sum() / total
     if q_shifted.min() < 0.0:
         raise MaskingError(f"fixed offset {offset} too small: shifted signal still reaches {q_shifted.min():.6g}")
-    total = q_shifted.sum()
-    if total <= 0.0:
-        raise MaskingError("degenerate scale: shifted signal sums to zero")
-    scale = q.sum() / total
+    if not (0.0 < total < math.inf and 0.0 < scale < math.inf):
+        raise MaskingError(f"degenerate scale: shifted signal sums to {total:.6g}, scale {scale:.6g}")
     q_scaled = scale * q_shifted
     q_tilde = round_and_repair(q_scaled, int(round(q.sum())), config.sum_repair)
     report = evaluate_goals(new_approx, base_approx, config.goals)

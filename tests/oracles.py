@@ -131,8 +131,8 @@ def _reassembled(q, dec, new_coeffs, config, wrm) -> dict:
 def round_and_repair_loop(q_scaled, target_sum: int, sum_repair: bool = True) -> np.ndarray:
     """Rounding repair one unit at a time, re-ranking residuals after each unit."""
     scaled = np.asarray(q_scaled, dtype=np.float64)
-    if scaled.min() < 0.0:
-        raise MaskingError("cannot round a signal with negative entries")
+    if not np.all(scaled >= 0.0):
+        raise MaskingError("cannot round a signal with a negative or NaN entry")
     out = round_half_away(scaled)
     if not sum_repair:
         return out
@@ -160,13 +160,13 @@ def active_goals(goals) -> dict:
 def _goal_limits(goal, current: float) -> list[tuple[str, float]]:
     """The (relation, rhs) rows one goal puts on the approximation at its position.
 
-    raise gives one ">=" row and lower one "<=" row, at ``threshold`` or else
-    ``current``; bound gives one row per limit it has.
+    raise gives one ">=" row and lower one "<=" row, at ``current``; bound
+    gives one row per limit it has.
     """
     if goal.kind == "bound":
         limits = ((">=", goal.lower), ("<=", goal.upper))
         return [(relation, limit) for relation, limit in limits if limit is not None]
-    return [(">=" if goal.kind == "raise" else "<=", current if goal.threshold is None else goal.threshold)]
+    return [(">=" if goal.kind == "raise" else "<=", current)]
 
 
 def goal_rows_loop(wrm, approx, goals) -> LinearProgram:

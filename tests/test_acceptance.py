@@ -126,9 +126,9 @@ def test_criterion_6_randomized_property_suite():
         for slot, position in enumerate(positions):
             margin = float(rng.uniform(0.0, 5.0))
             if slot % 2 == 0:
-                goals[int(position) + 1] = Goal(kind="lower", threshold=float(target[position]) + margin)
+                goals[int(position) + 1] = Goal(kind="bound", upper=float(target[position]) + margin)
             else:
-                goals[int(position) + 1] = Goal(kind="raise", threshold=float(target[position]) - margin)
+                goals[int(position) + 1] = Goal(kind="bound", lower=float(target[position]) - margin)
         result = mask_signal(q, MaskingConfig(goals=GoalSpec(by_index=goals)))
 
         ok = ok and all(check.satisfied for check in result.goal_report)

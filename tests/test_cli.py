@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import gather_rows, lp_rows_dense, wrm_dump_lines
-from refdata import OFFSET, Q16, QTILDE_PRINTED, worked_goal_entries
+from refdata import OFFSET, Q16, QTILDE_PRINTED, ROW_CHECK_DEFECTS, worked_goal_entries
 from wavemask import cli, microdata
 from wavemask.cli import main
 from wavemask.microdata import MicrofileTable, load_csv, write_csv
@@ -542,6 +542,52 @@ def test_non_finite_override_is_a_usage_error(tmp_path, capsys):
                  "--override-coeffs", "inf,0,0,0"]) == 1
     assert not out.exists()
     assert "finite" in capsys.readouterr().err
+
+
+PROBE_Q8 = (5, 9, 3, 7, 2, 8, 4, 6)
+
+
+@pytest.mark.parametrize("goals,options,code,message", [
+    ([{"index": 2, "goal": "raise"}], ["--offset", "inf"], 1, "fixed offset must be a finite number, got inf"),
+    ([{"index": 2, "goal": "raise"}], ["--offset", "1e308"], 2, "degenerate scale: shifted signal sums to inf"),
+    ([{"index": 2, "goal": "raise"}], ["--override-coeffs", "1e308,1e308"], 2, "degenerate scale"),
+    # this one rounded a NaN to INT64_MIN, and sum repair then never ended
+    ([{"index": 2, "goal": "raise"}], ["--override-coeffs", "1.7e308,-1.7e308"], 2, "degenerate scale"),
+    ([{"index": 2, "goal": "bound", "min": 5, "max": 1}], [], 1, "bound goal needs min <= max"),
+    ([{"index": 1e300, "goal": "raise"}], [], 1, "goal index must be an integer from 1 to"),
+], ids=["offset-inf", "offset-1e308", "override-1e308", "override-1.7e308", "min-above-max", "index-1e300"])
+def test_out_of_range_numbers_end_in_one_error_line(tmp_path, capsys, goals, options, code, message):
+    # each of these once exited 0 with a broken release, blamed the LP, or escaped main
+    signal, goal_file, out = tmp_path / "q8.txt", tmp_path / "goals.json", tmp_path / "masked.txt"
+    signal.write_text("".join(f"{v}\n" for v in PROBE_Q8))
+    goal_file.write_text(json.dumps(goals))
+    argv = ["mask-signal", "--input", str(signal), "--goals", str(goal_file), "--output", str(out), "--level", "2"]
+    assert main(argv + options) == code
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a feasibility vertex of magnitude 1e8-2e9 meets its rows in memory, "
+                          "but not from the report's 12-digit values")
+@pytest.mark.parametrize("seed,op", list(ROW_CHECK_DEFECTS), ids=[f"seed{s}-op{o}" for s, o in ROW_CHECK_DEFECTS])
+def test_report_rows_hold_at_the_reported_point(tmp_path, seed, op):
+    """The microfile benchmark's row check: each report row holds at a_k_hat within 1e-6 x max(1, |rhs|)."""
+    q, raise_at, lower_at = ROW_CHECK_DEFECTS[seed, op]
+    signal, goals, report = tmp_path / "q.txt", tmp_path / "goals.json", tmp_path / "report.json"
+    signal.write_text("".join(f"{v}\n" for v in q))
+    entries = [{"index": i, "goal": "raise"} for i in raise_at] + [{"index": i, "goal": "lower"} for i in lower_at]
+    goals.write_text(json.dumps(entries))
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(tmp_path / "o.txt"),
+                 "--wavelet", "daubechies:2", "--level", "2", "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert all(item["satisfied"] for item in payload["goal_satisfaction"])
+    x = np.asarray(payload["a_k_hat"])
+    for row in payload["lp_rows"]:
+        lhs = float(np.asarray(row["coeffs"]) @ x)
+        gap = row["rhs"] - lhs if row["relation"] == ">=" else lhs - row["rhs"]
+        assert gap <= 1e-6 * max(1.0, abs(row["rhs"])), (row["relation"], row["rhs"], lhs)
 
 
 @pytest.mark.parametrize("argv", [

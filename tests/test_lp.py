@@ -408,14 +408,19 @@ EARLY_STOP_OPS = (4, 90, 98, 117, 123, 161, 174, 196, 197, 206, 208, 304, 310, 3
                   463, 489, 631, 694, 704, 715, 720, 739, 753, 809, 830, 891, 897, 902, 960)
 
 
-def test_blocks_match_sequential_bland():
-    """Block-by-block rounds give sequential Bland's statuses, x bytes, objectives and pivots on each block alone."""
+@pytest.fixture(scope="module")
+def stacked_corpus() -> list[LinearProgram]:
+    """The 1000 ``stacked_lp`` programs of ``default_rng(1010)``, built once for the tests that share them."""
     rng = np.random.default_rng(1010)
+    return [stacked_lp(rng) for _ in range(1000)]
+
+
+def test_blocks_match_sequential_bland(stacked_corpus):
+    """Block-by-block rounds give sequential Bland's statuses, x bytes, objectives and pivots on each block alone."""
     seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
     counts = {}
     bounded = equality = signed_zero_rhs = 0
-    for _ in range(1000):
-        lp = stacked_lp(rng)
+    for lp in stacked_corpus:
         seen[assert_same_solution(lp, counts)] += 1
         bounded += lp.bounds is not None
         equality += "=" in lp.relations
@@ -432,7 +437,7 @@ def test_blocks_match_sequential_bland():
     assert tuple(stopped) == EARLY_STOP_OPS
 
 
-def test_phase1_cost_row_matches_row_loop(monkeypatch):
+def test_phase1_cost_row_matches_row_loop(monkeypatch, stacked_corpus):
     """The cost row built from the tableau's entries equals the per-row loop's, value for value."""
     init, built = _Blocks.__init__, []
 
@@ -442,9 +447,8 @@ def test_phase1_cost_row_matches_row_loop(monkeypatch):
         built.append(blocks.t.shape[1] - 1)
 
     monkeypatch.setattr(_Blocks, "__init__", checked)
-    rng = np.random.default_rng(1010)
-    for _ in range(1000):
-        solve(stacked_lp(rng))
+    for lp in stacked_corpus:
+        solve(lp)
     for lp in goal_lps("goals-dense", EARLY_STOP_OPS):
         solve(lp)
     assert len(built) >= 1000 + len(EARLY_STOP_OPS) and sum(height >= 4 for height in built) >= 500

@@ -31,7 +31,7 @@ from refdata import (
 )
 from wavemask import masking
 from wavemask.errors import ConfigurationError, DataError, MaskingError
-from wavemask.lp import Objective, max_violation, solve
+from wavemask.lp import max_violation, solve
 from wavemask.masking import (
     GOAL_TOL,
     Goal,
@@ -68,7 +68,10 @@ def test_goal_validation():
     with pytest.raises(ConfigurationError):
         Goal(kind="bound")
     with pytest.raises(ConfigurationError):
-        Goal(kind="free", threshold=1.0)
+        Goal(kind="free", upper=1.0)
+    with pytest.raises(ConfigurationError, match="min <= max, got min 2.0 and max 1.0"):
+        Goal(kind="bound", lower=2.0, upper=1.0)
+    assert Goal(kind="bound", lower=1.0, upper=1.0).upper == 1.0
     with pytest.raises(ConfigurationError):
         Goal(kind="raise", lower=0.0)
     with pytest.raises(ConfigurationError):
@@ -100,15 +103,11 @@ def test_evaluate_goals_case_table():
         7: (Goal("bound", lower=0.0, upper=5.0), -GOAL_TOL, 0.0),
         8: (Goal("bound", lower=0.0, upper=5.0), 5.5, 0.0),
         9: (Goal("bound", lower=0.0, upper=5.0), -1.0, 0.0),
-        10: (Goal("raise", threshold=7), 7.0 - GOAL_TOL, 100.0),
-        11: (Goal("raise", threshold=2.5), 2.0, -100.0),
-        12: (Goal("lower", threshold=-4), -4.0 + GOAL_TOL, -100.0),
-        13: (Goal("lower", threshold=1.25), 1.5, 100.0),
-        14: (Goal("raise"), 8.5, 8.0),
-        15: (Goal("raise"), 7.5, 8.0),
-        16: (Goal("lower"), 8.5, 8.0),
-        17: (Goal("lower"), -1.0, 8.0),
-        18: (Goal("free"), 1.0, 2.0),
+        10: (Goal("raise"), 8.5, 8.0),
+        11: (Goal("raise"), 7.5, 8.0),
+        12: (Goal("lower"), 8.5, 8.0),
+        13: (Goal("lower"), -1.0, 8.0),
+        14: (Goal("free"), 1.0, 2.0),
     }
     goals = GoalSpec(by_index={i: goal for i, (goal, _, _) in cases.items()})
     new_approx = [value for _, value, _ in cases.values()]
@@ -123,14 +122,10 @@ def test_evaluate_goals_case_table():
         GoalCheck(7, "bound", -GOAL_TOL, True, lower=0.0, upper=5.0),
         GoalCheck(8, "bound", 5.5, False, lower=0.0, upper=5.0),
         GoalCheck(9, "bound", -1.0, False, lower=0.0, upper=5.0),
-        GoalCheck(10, "raise", 7.0 - GOAL_TOL, True, threshold=7.0),
-        GoalCheck(11, "raise", 2.0, False, threshold=2.5),
-        GoalCheck(12, "lower", -4.0 + GOAL_TOL, True, threshold=-4.0),
-        GoalCheck(13, "lower", 1.5, False, threshold=1.25),
-        GoalCheck(14, "raise", 8.5, True, threshold=8.0),
-        GoalCheck(15, "raise", 7.5, False, threshold=8.0),
-        GoalCheck(16, "lower", 8.5, False, threshold=8.0),
-        GoalCheck(17, "lower", -1.0, True, threshold=8.0),
+        GoalCheck(10, "raise", 8.5, True, threshold=8.0),
+        GoalCheck(11, "raise", 7.5, False, threshold=8.0),
+        GoalCheck(12, "lower", 8.5, False, threshold=8.0),
+        GoalCheck(13, "lower", -1.0, True, threshold=8.0),
     )
     assert all(isinstance(check.threshold, float) for check in evaluate_goals(new_approx, base_approx, goals)[9:])
 
@@ -147,8 +142,8 @@ def test_evaluate_goals_rejects_positions_outside_the_signal():
 def random_goal_case(rng):
     """A random goal set, operator, current approximation and rebuilt one.
 
-    Goals mix raise and lower (with and without a threshold), bound with a
-    min, a max or both, and free; limits include -0.0.  Each rebuilt value
+    Goals mix raise, lower, bound with a min, a max or both, and free;
+    limits and current values include -0.0.  Each rebuilt value
     lies at a limit of its goal, at that limit +-GOAL_TOL, one ulp past it,
     or anywhere.
     """
@@ -168,11 +163,11 @@ def random_goal_case(rng):
             low, high = sorted((limit(), limit()))
             goal = Goal(kind, lower=low if sides & 1 else None, upper=high if sides & 2 else None)
         else:
-            goal = Goal(kind, threshold=limit() if kind != "free" and rng.random() < 0.5 else None)
+            goal = Goal(kind)
         by_index[int(index)] = goal
     new = rng.uniform(-25.0, 25.0, m)
     for index, goal in by_index.items():
-        anchors = [v for v in (goal.threshold, goal.lower, goal.upper, base[index - 1]) if v is not None]
+        anchors = [v for v in (goal.lower, goal.upper, base[index - 1]) if v is not None]
         anchor = anchors[int(rng.integers(0, len(anchors)))] + (-GOAL_TOL, 0.0, GOAL_TOL)[int(rng.integers(0, 3))]
         if rng.random() < 0.8:
             new[index - 1] = np.nextafter(anchor, (-np.inf, anchor, np.inf)[int(rng.integers(0, 3))])
@@ -186,9 +181,9 @@ def test_goal_table_matches_per_goal_loops():
     for _ in range(2000):
         goals, wrm, base, new = random_goal_case(rng)
         for goal in goals.by_index.values():
-            shapes[goal.kind, goal.threshold is None, goal.lower is None, goal.upper is None] += 1
-            limits = (goal.threshold, goal.lower, goal.upper)
-            negative_zero += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in limits if v is not None)
+            shapes[goal.kind, goal.lower is None, goal.upper is None] += 1
+            limits = [v for v in (goal.lower, goal.upper) if v is not None]
+            negative_zero += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in limits)
         if not active_goals(goals):
             with pytest.raises(ConfigurationError, match="no raise/lower/bound"):
                 build_constraints(wrm, base, goals)
@@ -207,8 +202,8 @@ def test_goal_table_matches_per_goal_loops():
             edges = [(v - GOAL_TOL, -np.inf) for v in limits] + [(v + GOAL_TOL, np.inf) for v in limits]
             at_edge += any(check.achieved == edge for edge, _ in edges)
             past_edge += any(check.achieved == np.nextafter(edge, away) for edge, away in edges)
-    # raise and lower with and without a threshold, bound with min, max or both, free
-    assert len(shapes) == 8 and min(shapes.values()) >= 1000, shapes
+    # raise, lower, bound with min, max or both, free
+    assert len(shapes) == 6 and min(shapes.values()) >= 1000, shapes
     assert rows >= 20000 and negative_zero >= 2000 and at_edge >= 1500 and past_edge >= 1500
 
 
@@ -270,38 +265,10 @@ def test_solve_approximation_rejects_far_override():
         solve_approximation(lp, short)
 
 
-# The golden 16-area input with one lower and one raise goal; its LP alone returns [2149.5, 109.9, 0, 0].
-GOLDEN_TWO_GOALS = ({"index": 1, "goal": "lower"}, {"index": 5, "goal": "raise"})
-UNIT_BOX = ((0.0, 1.0),) * 4
-
-
-def test_coefficient_bounds_bound_without_an_objective():
-    result = mask_signal(Q16, MaskingConfig(goals=GoalSpec.from_entries(GOLDEN_TWO_GOALS), coefficient_bounds=UNIT_BOX))
-    assert result.new_coeffs.tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert [check.satisfied for check in result.goal_report] == [True, True]
-    boxed_out = GoalSpec.from_entries([*GOLDEN_TWO_GOALS, {"index": 11, "goal": "raise"}])
-    assert mask_signal(Q16, MaskingConfig(goals=boxed_out)).goal_report[-1].satisfied
-    with pytest.raises(MaskingError, match="unsatisfiable"):
-        mask_signal(Q16, MaskingConfig(goals=boxed_out, coefficient_bounds=UNIT_BOX))
-
-
-def test_override_outside_coefficient_bounds_is_refused():
-    dec, wrm, grid = worked_parts()
-    lp = build_constraints(wrm, grid, WORKED_GOALS)
-    assert max_violation(lp, A2_HAT) <= 1.0
-    bounds = tuple((value - 2.0, value + 2.0) for value in A2_HAT)
-    inside = MaskingConfig(goals=WORKED_GOALS, override_coeffs=tuple(A2_HAT), coefficient_bounds=bounds)
-    assert solve_approximation(lp, inside).tolist() == list(inside.override_coeffs)
-    # A2_HAT[1] is 379.097
-    outside = dataclasses.replace(inside, coefficient_bounds=(bounds[0], (0.0, 1.0), *bounds[2:]))
-    with pytest.raises(MaskingError, match="rows or bounds"):
-        solve_approximation(lp, outside)
-
-
 def test_solve_approximation_reports_infeasible():
     # one column, so raising row 1 while lowering row 2 is contradictory
     wrm = build_wrm(2, 1, HAAR)
-    spec = GoalSpec(by_index={1: Goal(kind="raise", threshold=10.0), 2: Goal(kind="lower", threshold=-10.0)})
+    spec = GoalSpec(by_index={1: Goal(kind="bound", lower=10.0), 2: Goal(kind="bound", upper=-10.0)})
     lp = build_constraints(wrm, np.zeros(2), spec)
     assert solve(lp).status == "infeasible"
     with pytest.raises(MaskingError, match="unsatisfiable"):
@@ -346,6 +313,19 @@ def test_assemble_degenerate_scale():
         mask_signal(q, config)
 
 
+def test_reassembly_beyond_the_float_range_is_refused():
+    # a count near the float maximum: its detail and the override's approximation sum past it
+    q = np.zeros(8)
+    q[0] = 1.7e308
+    config = MaskingConfig(goals=GoalSpec({5: Goal("raise")}), level=1, override_coeffs=(1.79e308, -1.79e308) * 2)
+    with pytest.raises(MaskingError, match="reassembled signal is not finite"):
+        mask_signal(q, config)
+    # a finite reassembly whose shift overflows the total
+    config = MaskingConfig(goals=GoalSpec({5: Goal("raise")}), level=1, override_coeffs=(1.79e308,) * 4)
+    with pytest.raises(MaskingError, match="degenerate scale: shifted signal sums to inf"):
+        mask_signal(q, config)
+
+
 def test_round_half_away_from_zero():
     values = [1.4, 2.6, 2.5, 0.5, -0.5, -2.5, 0.0]
     assert round_half_away(values).tolist() == [1, 3, 3, 1, -1, -3, 0]
@@ -365,6 +345,10 @@ def test_round_and_repair_errors():
         round_and_repair([0.4, 0.4], -1)
     with pytest.raises(MaskingError):
         round_and_repair([-0.5, 1.0], 1)
+    # a NaN once passed the check and rounded to INT64_MIN, and the repair loop chased that gap without end
+    for repair in (True, False):
+        with pytest.raises(MaskingError, match="negative or NaN"):
+            round_and_repair([np.nan, 0.0, 1.0], 1, repair)
 
 
 def _repair_outcome(fn, scaled, target, sum_repair):
@@ -440,22 +424,12 @@ def test_mask_signal_feasibility_mode_meets_goals():
     assert result.q_tilde.min() >= 0
 
 
-def test_mask_signal_optimize_mode():
-    config = MaskingConfig(
-        goals=WORKED_GOALS,
-        objective=Objective(np.ones(4), "minimize"),
-        coefficient_bounds=tuple((-50000.0, 50000.0) for _ in range(4)),
-    )
-    result = mask_signal(Q16, config)
-    assert all(check.satisfied for check in result.goal_report)
-
-
 def test_mask_signal_identity_config():
     dec = decompose(Q16, D4, 2)
     grid = gather_rows(build_wrm(16, 2, D4)) @ dec.approx
     spec = GoalSpec(by_index={
-        1: Goal(kind="lower", threshold=float(grid[0]) + 1.0),
-        5: Goal(kind="raise", threshold=float(grid[4]) - 1.0),
+        1: Goal(kind="bound", upper=float(grid[0]) + 1.0),
+        5: Goal(kind="bound", lower=float(grid[4]) - 1.0),
     })
     config = MaskingConfig(goals=spec, override_coeffs=tuple(dec.approx))
     result = mask_signal(Q16, config)
@@ -541,57 +515,21 @@ def test_config_validation():
         MaskingConfig(goals=WORKED_GOALS, level=0)
     with pytest.raises(ConfigurationError):
         MaskingConfig(goals=WORKED_GOALS, fixed_offset=-1.0)
-    with pytest.raises(ConfigurationError, match="objective needs"):
-        MaskingConfig(goals=WORKED_GOALS, objective=Objective(np.ones(4), "minimize"))
-
-
-@pytest.mark.parametrize("bounds", [
-    ((0.0, None),) * 4,  # an open side
-    (5.0,) * 4,  # a bare number for a pair
-    ("01",) * 4,  # a string for a pair
-    (("0", "1"),) * 4,  # strings for sides
-    ((0.0, 1.0, 2.0),) * 4,
-    ((0.0, math.inf),) * 4,
-    ((True, 1.0),) * 4,
-    5.0,
-    None,  # with an objective
-])
-def test_malformed_coefficient_bounds_are_configuration_errors(bounds):
-    with pytest.raises(ConfigurationError, match="coefficient bounds"):
-        MaskingConfig(goals=WORKED_GOALS, objective=Objective(np.ones(4), "minimize"), coefficient_bounds=bounds)
-
-
-def test_coefficient_bounds_are_stored_as_float_pairs():
-    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=[[0, 1], (np.float64(-2.5), np.int64(3))])
-    assert config.coefficient_bounds == ((0.0, 1.0), (-2.5, 3.0))
-    assert all(type(side) is float for pair in config.coefficient_bounds for side in pair)
+    for offset in (math.inf, math.nan, True, "5"):
+        with pytest.raises(ConfigurationError, match="fixed offset must be a finite number"):
+            MaskingConfig(goals=WORKED_GOALS, fixed_offset=offset)
 
 
 def test_numpy_float32_limits_and_bounds_are_accepted():
     # checked as float64: a float32 compared with float64's max would warn of overflow in the cast
-    assert Goal("raise", threshold=np.float32(3)).threshold == 3.0
+    assert Goal("bound", lower=np.float32(3)).lower == 3.0
     bound = Goal("bound", lower=np.float32(1.5), upper=np.float32(2.5))
     assert (bound.lower, bound.upper) == (1.5, 2.5)
-    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=[(np.float32(-2.5), np.float32(3))] * 4)
-    assert config.coefficient_bounds == ((-2.5, 3.0),) * 4
-    assert all(type(side) is float for pair in config.coefficient_bounds for side in pair)
+    config = MaskingConfig(goals=WORKED_GOALS, fixed_offset=np.float32(2.5))
+    assert config.fixed_offset == 2.5 and type(config.fixed_offset) is float
     for value in (np.float32("inf"), np.float32("nan"), 10**400):
         with pytest.raises(ConfigurationError, match="finite"):
-            Goal("raise", threshold=value)
-
-
-def test_inverted_coefficient_bound_pair_is_a_configuration_error():
-    # a reversed pair is the caller's mistake, not a goal the LP cannot meet
-    goals = GoalSpec.from_entries(GOLDEN_TWO_GOALS)
-    with pytest.raises(ConfigurationError, match="lower <= upper"):
-        MaskingConfig(goals=goals, coefficient_bounds=((1.0, 0.0),) * 4)
-    assert MaskingConfig(goals=goals, coefficient_bounds=((0.5, 0.5),) * 4).coefficient_bounds == ((0.5, 0.5),) * 4
-
-
-def test_bound_pair_count_error_names_both_counts():
-    config = MaskingConfig(goals=WORKED_GOALS, coefficient_bounds=((0, 1),) * 3)
-    with pytest.raises(ConfigurationError, match="3 bound pairs for 4 columns"):
-        mask_signal(Q16, config)
+            Goal("bound", lower=value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
