@@ -6,8 +6,10 @@ Subcommands:
   wrm             dump the reconstruction matrix for a length/level/wavelet
   verify          check total preservation and detail proportionality
 
-All options can also come from a JSON config file (--config); explicit flags
-win.  Exit codes: 0 success, 1 usage, configuration or I/O problem, 2 goals
+Each option is declared once, in ``build_parser``, with its converter and
+default.  Options can also come from a JSON config file (--config): flags win,
+and null counts as absent.  Each value passes its converter before any file is
+opened.  Exit codes: 0 success, 1 usage, configuration or I/O problem, 2 goals
 infeasible or a verification failure, 3 malformed data.
 """
 
@@ -15,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, MaskingError, ShapeError
+from .errors import ConfigurationError, DataError, MaskingError, ShapeError, WavemaskError
 from .masking import GoalSpec, MaskingConfig, MaskingResult, mask_signal
 from .microdata import (
     SelectionSpec,
@@ -32,13 +36,14 @@ from .microdata import (
     plan_resynthesis,
     write_csv,
 )
-from .wavelet import as_signal, decompose, make_filter, read_signal, write_signal
+from .wavelet import decompose, make_filter, read_signal, write_signal
 from .wrm import build_wrm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MASKING = 2
 EXIT_DATA = 3
+_EXIT_CODES = {ConfigurationError: EXIT_USAGE, ShapeError: EXIT_USAGE, MaskingError: EXIT_MASKING, DataError: EXIT_DATA}
 
 
 def _sig12(value) -> float:
@@ -61,8 +66,8 @@ def _dense_rows(entries, shape: tuple[int, int], zero, cell):
         yield line
 
 
-def _number(value, cast, flag: str):
-    """An option read by int or float; a value that does not convert exactly is a usage error."""
+def _number(value, flag: str, cast=int):
+    """An int, or with ``cast`` a float; a value that does not convert exactly is a usage error."""
     try:
         number = cast(value)
         if isinstance(value, bool) or number != float(value):  # e.g. a level of 1.9 or true
@@ -72,96 +77,116 @@ def _number(value, cast, flag: str):
     return number
 
 
-def _parse_wavelet(text: str) -> tuple[str, int]:
-    name = str(text).strip()
+def _tolerance(value, flag: str) -> float:
+    tol = _number(value, flag, float)
+    if not 0.0 <= tol < math.inf:
+        raise ConfigurationError(f"{flag} expects a finite number >= 0, got {value!r}")
+    return tol
+
+
+def _typed(value, flag: str, kind: type, expects: str):
+    """The value, if it is a ``kind``: a config file's 1 is no path (open() takes it for stdout), "false" no false."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{flag} expects {expects}, got {value!r}")
+    return value
+
+
+_text = functools.partial(_typed, kind=str, expects="a string")
+_path = functools.partial(_typed, kind=str, expects="a file path")
+_boolean = functools.partial(_typed, kind=bool, expects="true or false")
+
+
+def _goal_source(value, flag: str):
+    return value if isinstance(value, list) else _path(value, flag)
+
+
+def _delimiter(value, flag: str) -> str:
+    if len(_text(value, flag)) != 1:
+        raise ConfigurationError(f"delimiter must be a single character, got {value!r}")
+    return value
+
+
+def _wavelet(value, flag: str) -> tuple[str, int]:
+    name = str(value).strip()
     if ":" in name:
         family, _, tail = name.partition(":")
-        return family, _number(tail, int, "--wavelet order")
+        return family, _number(tail, f"{flag} order")
     if name.lower() == "haar":
         return "haar", 1
-    raise ConfigurationError(f"wavelet must look like daubechies:2, got {text!r}")
+    raise ConfigurationError(f"wavelet must look like daubechies:2, got {value!r}")
 
 
-def _parse_offset(value) -> float | None:
+def _offset(value, flag: str) -> float | None:
     """None means automatic; otherwise a fixed non-negative shift."""
-    if value is None or (isinstance(value, str) and value.strip().lower() == "auto"):
+    if isinstance(value, str) and value.strip().lower() == "auto":
         return None
-    return _number(value, float, "--offset")
+    return _number(value, flag, float)
 
 
-def _parse_override(value) -> tuple[float, ...] | None:
-    if value is None:
-        return None
-    parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
-    if not isinstance(parts, list):
-        raise ConfigurationError(f"--override-coeffs expects a list of numbers, got {value!r}")
-    return tuple(_number(p, float, "--override-coeffs") for p in parts)
+def _listed(value, flag: str) -> tuple:
+    """The items of a comma-separated string, or of a config file's list."""
+    if isinstance(value, str):
+        return tuple(v.strip() for v in value.split(",") if v.strip())
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{flag} expects a list or a comma-separated string, got {value!r}")
+    return tuple(value)
 
 
-def _load_goal_entries(source) -> list:
-    """Goal entries from a JSON file path, or passed through when inline."""
-    if isinstance(source, list):
-        return source
+def _override(value, flag: str) -> tuple[float, ...]:
+    return tuple(_number(v, flag, float) for v in _listed(value, flag))
+
+
+def _vital(value, flag: str) -> tuple[tuple[str, str], ...]:
+    """(attribute, value) pairs from ATTR=VALUE strings, or from a config file's object."""
+    if isinstance(value, dict):
+        value = [f"{k}={v}" for k, v in value.items()]
+    if not (value and isinstance(value, list)):
+        raise ConfigurationError(f"{flag} expects ATTR=VALUE pairs, got {value!r}")
+    pairs = []
+    for pair in value:
+        name, sep, text = str(pair).partition("=")
+        if not sep or not name:
+            raise ConfigurationError(f"{flag} expects ATTR=VALUE, got {pair!r}")
+        pairs.append((name, text))
+    return tuple(pairs)
+
+
+def _read_json(path: str, kind: type, expected: str, error: type[WavemaskError]):
+    """The JSON value in the file at ``path``; invalid JSON, or a value that is no ``kind``, raises ``error``."""
     try:
-        with open(source, encoding="utf-8") as handle:
-            entries = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigurationError(f"goal file not found: {source}") from None
+        with open(path, encoding="utf-8") as handle:
+            value = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{source}: invalid JSON ({exc})") from None
-    if not isinstance(entries, list):
-        raise DataError(f"{source}: expected a JSON list of goal entries")
-    return entries
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(value, kind):
+        raise error(f"{path}: expected {expected}")
+    return value
 
 
 def _require(eff: dict, key: str, flag: str):
-    value = eff.get(key)
+    value = eff[key]
     if value is None:
         raise ConfigurationError(f"missing required option {flag}")
     return value
 
 
-def _get(eff: dict, key: str, default):
-    """Default only when the option is absent; falsy values are real values."""
-    value = eff.get(key)
-    return default if value is None else value
-
-
-def _switch(eff: dict, key: str) -> bool:
-    """An on/off option: true or false, absent (or null) meaning off; a config file's "false" string is no false."""
-    value = eff.get(key)
-    if not (value is None or isinstance(value, bool)):
-        raise ConfigurationError(f"--{key.replace('_', '-')} expects true or false, got {value!r}")
-    return bool(value)
-
-
-def _delimiter(eff: dict) -> str:
-    value = str(_get(eff, "delimiter", ","))
-    if len(value) != 1:
-        raise ConfigurationError(f"delimiter must be a single character, got {value!r}")
-    return value
-
-
-def _masking_config(eff: dict) -> tuple[MaskingConfig, int]:
-    """The masking options, and the --seed for record selection and the report."""
-    goals = GoalSpec.from_entries(_load_goal_entries(_require(eff, "goals", "--goals")))
-    family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
-    offset = _parse_offset(eff.get("offset"))
-    repair = not _switch(eff, "no_repair")
-    if _switch(eff, "repro"):
+def _masking_config(eff: dict) -> MaskingConfig:
+    if eff["repro"] and eff["offset"] is None:
         # Bit-repeatable preset: no sum repair, and the shift must be pinned.
-        repair = False
-        if offset is None:
-            raise ConfigurationError("--repro needs a numeric --offset")
+        raise ConfigurationError("--repro needs a numeric --offset")
+    entries = _require(eff, "goals", "--goals")
+    if not isinstance(entries, list):  # a path; a config file may list the entries inline
+        entries = _read_json(entries, list, "a JSON list of goal entries", DataError)
+    family, order = eff["wavelet"]
     return MaskingConfig(
-        goals=goals,
+        goals=GoalSpec.from_entries(entries),
         family=family,
         order=order,
-        level=_number(_get(eff, "level", 2), int, "--level"),
-        fixed_offset=offset,
-        override_coeffs=_parse_override(eff.get("override_coeffs")),
-        sum_repair=repair,
-    ), _number(_get(eff, "seed", 0), int, "--seed")
+        level=eff["level"],
+        fixed_offset=eff["offset"],
+        override_coeffs=eff["override_coeffs"],
+        sum_repair=not (eff["no_repair"] or eff["repro"]),
+    )
 
 
 def _with_limits(item: dict, **limits) -> dict:
@@ -170,7 +195,7 @@ def _with_limits(item: dict, **limits) -> dict:
     return item
 
 
-def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> dict:
+def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int, command: str) -> dict:
     dec, lp = result.decomposition, result.lp
     original = float(result.q.sum())
     scaled = float(result.q_scaled.sum())
@@ -219,6 +244,7 @@ def _report_payload(result: MaskingResult, config: MaskingConfig, seed: int) -> 
             "rounded_matches": rounded == int(round(original)),
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "command": command,
     }
 
 
@@ -229,63 +255,40 @@ def _write_report(path, payload: dict) -> None:
 
 
 def _selection(eff: dict) -> SelectionSpec:
-    pairs = eff.get("vital")
-    if not pairs:
-        raise ConfigurationError("missing required option --vital ATTR=VALUE")
-    if isinstance(pairs, dict):
-        pairs = [f"{k}={v}" for k, v in pairs.items()]
-    if not isinstance(pairs, list):
-        raise ConfigurationError(f"--vital expects ATTR=VALUE pairs, got {pairs!r}")
-    attrs, values = [], []
-    for pair in pairs:
-        name, sep, value = str(pair).partition("=")
-        if not sep or not name:
-            raise ConfigurationError(f"--vital expects ATTR=VALUE, got {pair!r}")
-        attrs.append(name)
-        values.append(value)
-    parameter = _require(eff, "parameter_attribute", "--parameter-attribute")
-    raw_values = _require(eff, "parameter_values", "--parameter-values")
-    if isinstance(raw_values, str):
-        raw_values = [v.strip() for v in raw_values.split(",") if v.strip()]
-    elif not isinstance(raw_values, list):
-        raise ConfigurationError(f"--parameter-values expects a list or a comma-separated string, got {raw_values!r}")
+    attrs, values = zip(*_require(eff, "vital", "--vital ATTR=VALUE"))
     return SelectionSpec(
-        vital_attributes=tuple(attrs),
-        vital_combination=tuple(values),
-        parameter_attribute=str(parameter),
-        parameter_values=tuple(str(v) for v in raw_values),
+        vital_attributes=attrs,
+        vital_combination=values,
+        parameter_attribute=_require(eff, "parameter_attribute", "--parameter-attribute"),
+        parameter_values=_require(eff, "parameter_values", "--parameter-values"),
     )
 
 
 def _cmd_mask_signal(eff: dict) -> int:
     q = read_signal(_require(eff, "input", "--input"))
-    config, seed = _masking_config(eff)
+    config = _masking_config(eff)
     result = mask_signal(q, config)
     write_signal(_require(eff, "output", "--output"), result.q_tilde)
-    if eff.get("scaled_output"):
+    if eff["scaled_output"]:
         write_signal(eff["scaled_output"], result.q_scaled)
-    if eff.get("report"):
-        payload = _report_payload(result, config, seed)
-        payload["command"] = "mask-signal"
-        _write_report(eff["report"], payload)
+    if eff["report"]:
+        _write_report(eff["report"], _report_payload(result, config, eff["seed"], "mask-signal"))
     return EXIT_OK
 
 
 def _cmd_mask_microfile(eff: dict) -> int:
-    delimiter = _delimiter(eff)
-    table = load_csv(_require(eff, "input", "--input"), delimiter=delimiter)
+    table = load_csv(_require(eff, "input", "--input"), delimiter=eff["delimiter"])
     spec = _selection(eff)
     q = extract_quantity_signal(table, spec)
-    config, seed = _masking_config(eff)
+    config = _masking_config(eff)
     if not config.sum_repair:
         raise ConfigurationError("mask-microfile needs sum repair on: record totals must match exactly")
     result = mask_signal(q, config)
-    plan = plan_resynthesis(table, spec, q, result.q_tilde, seed=seed)
+    plan = plan_resynthesis(table, spec, q, result.q_tilde, seed=eff["seed"])
     masked = apply_plan(table, plan)
-    write_csv(masked, _require(eff, "output", "--output"), delimiter=delimiter)
-    if eff.get("report"):
-        payload = _report_payload(result, config, seed)
-        payload["command"] = "mask-microfile"
+    write_csv(masked, _require(eff, "output", "--output"), delimiter=eff["delimiter"])
+    if eff["report"]:
+        payload = _report_payload(result, config, eff["seed"], "mask-microfile")
         payload["microfile"] = {
             "records": len(table),
             "vital": dict(zip(spec.vital_attributes, spec.vital_combination)),
@@ -299,12 +302,10 @@ def _cmd_mask_microfile(eff: dict) -> int:
 
 
 def _cmd_wrm(eff: dict) -> int:
-    length = _number(_require(eff, "length", "--length"), int, "--length")
-    level = _number(_get(eff, "level", 2), int, "--level")
-    family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
-    matrix = build_wrm(length, level, make_filter(family, order))
+    length = _require(eff, "length", "--length")
+    matrix = build_wrm(length, eff["level"], make_filter(*eff["wavelet"]))
     rows = _dense_rows(matrix.row_entries(np.arange(1, length + 1)), matrix.shape, "0.0", repr)
-    path = eff.get("output")
+    path = eff["output"]
     try:
         with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
             handle.writelines(",".join(row) + "\n" for row in rows)
@@ -329,34 +330,27 @@ def _proportionality(d_orig: np.ndarray, d_masked: np.ndarray) -> tuple[float, f
 
 
 def _cmd_verify(eff: dict) -> int:
-    family, order = _parse_wavelet(_get(eff, "wavelet", "daubechies:2"))
-    filters = make_filter(family, order)
-    level = _number(_get(eff, "level", 2), int, "--level")
-    tol = _number(_get(eff, "tol", 1e-6), float, "--tol")
-
+    filters = make_filter(*eff["wavelet"])
     original_path = _require(eff, "original", "--original")
     masked_path = _require(eff, "masked", "--masked")
-    if eff.get("parameter_attribute") or eff.get("vital"):
+    if eff["parameter_attribute"] or eff["vital"]:
         spec = _selection(eff)
-        delimiter = _delimiter(eff)
-        original = extract_quantity_signal(load_csv(original_path, delimiter=delimiter), spec)
-        masked = extract_quantity_signal(load_csv(masked_path, delimiter=delimiter), spec)
+        original = extract_quantity_signal(load_csv(original_path, delimiter=eff["delimiter"]), spec)
+        masked = extract_quantity_signal(load_csv(masked_path, delimiter=eff["delimiter"]), spec)
     else:
         original = read_signal(original_path)
         masked = read_signal(masked_path)
-    original = as_signal(original)
-    masked = as_signal(masked)
     if original.size != masked.size:
         raise DataError(f"signal lengths differ: {original.size} vs {masked.size}")
 
     total = float(original.sum())
     drift = abs(float(masked.sum()) - total) / total if total else abs(float(masked.sum()))
-    sum_ok = drift <= tol
+    sum_ok = drift <= eff["tol"]
 
-    d_orig = np.concatenate(decompose(original, filters, level).details)
-    d_masked = np.concatenate(decompose(masked, filters, level).details)
+    d_orig = np.concatenate(decompose(original, filters, eff["level"]).details)
+    d_masked = np.concatenate(decompose(masked, filters, eff["level"]).details)
     ratio, deviation = _proportionality(d_orig, d_masked)
-    detail_ok = deviation <= tol
+    detail_ok = deviation <= eff["tol"]
 
     print(f"sum-preservation: {'pass' if sum_ok else 'FAIL'} "
           f"(original {total:g}, masked {float(masked.sum()):g}, relative drift {drift:.3g})")
@@ -366,121 +360,106 @@ def _cmd_verify(eff: dict) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Routes usage mistakes through the exit-code-1 path instead of argparse's 2."""
+    """Routes usage mistakes through the exit-code-1 path instead of argparse's 2.
+
+    A subcommand's parser holds ``options``: key -> (flag, converter, default).
+    """
 
     def error(self, message):
         raise ConfigurationError(message)
 
-
-def _add_masking_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--goals", help="JSON goal file: [{index, goal, min?, max?}]")
-    sub.add_argument("--offset", help="non-negativity shift: 'auto' or a number")
-    sub.add_argument("--no-repair", dest="no_repair", action="store_const", const=True,
-                     help="skip the +-1 adjustments that restore the exact total")
-    sub.add_argument("--override-coeffs", dest="override_coeffs",
-                     help="comma-separated replacement coefficients, bypasses the LP")
-    sub.add_argument("--repro", action="store_const", const=True,
-                     help="repeatable preset: requires numeric --offset, disables repair")
-    sub.add_argument("--seed", help="seed for record selection (microfile rewrite)")
-    sub.add_argument("--report", help="write a JSON report of every stage here")
+    def option(self, flag: str, convert, default=None, **kwargs) -> None:
+        """Declare one option; ``convert(value, flag)`` takes a flag's string or a config file's JSON value."""
+        self.options[self.add_argument(flag, **kwargs).dest] = (flag, convert, default)
 
 
-def _add_selection_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--vital", action="append", metavar="ATTR=VALUE",
-                     help="vital attribute equality filter, repeatable")
-    sub.add_argument("--parameter-attribute", dest="parameter_attribute",
-                     help="attribute whose per-value counts form the signal")
-    sub.add_argument("--parameter-values", dest="parameter_values",
-                     help="comma-separated parameter values, in signal order")
-    sub.add_argument("--delimiter", help="CSV delimiter (default ',')")
+def _subcommand(commands, name: str, help: str, handler) -> _Parser:
+    """A subcommand's parser, with the transform options every subcommand takes."""
+    sub = commands.add_parser(name, help=help)
+    sub.options = {}
+    sub.set_defaults(handler=handler)
+    sub.option("--wavelet", _wavelet, ("daubechies", 2), help="filter pair, e.g. daubechies:2 or haar")
+    sub.option("--level", _number, 2, help="decomposition depth k")
+    return sub
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_masking_options(sub: _Parser) -> None:
+    sub.option("--goals", _goal_source, help="JSON goal file: [{index, goal, min?, max?}]")
+    sub.option("--offset", _offset, help="non-negativity shift: 'auto' or a number")
+    sub.option("--no-repair", _boolean, False, action="store_const", const=True,
+               help="skip the +-1 adjustments that restore the exact total")
+    sub.option("--override-coeffs", _override, help="comma-separated replacement coefficients, bypasses the LP")
+    sub.option("--repro", _boolean, False, action="store_const", const=True,
+               help="repeatable preset: requires numeric --offset, disables repair")
+    sub.option("--seed", _number, 0, help="seed for record selection (microfile rewrite)")
+    sub.option("--report", _path, help="write a JSON report of every stage here")
+
+
+def _add_selection_options(sub: _Parser) -> None:
+    sub.option("--vital", _vital, action="append", metavar="ATTR=VALUE",
+               help="vital attribute equality filter, repeatable")
+    sub.option("--parameter-attribute", _text, help="attribute whose per-value counts form the signal")
+    sub.option("--parameter-values", _listed, help="comma-separated parameter values, in signal order")
+    sub.option("--delimiter", _delimiter, ",", help="CSV delimiter (default ',')")
+
+
+def build_parser() -> _Parser:
+    """The parser; its ``commands`` maps each subcommand's name to that subcommand's parser."""
     parser = _Parser(
         prog="wavemask",
         description="Mask count signals by rewriting their wavelet approximation.",
     )
     parser.add_argument("--config", help="JSON file of option defaults; flags win")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--wavelet", help="filter pair, e.g. daubechies:2 or haar")
-    common.add_argument("--level", help="decomposition depth k")
-
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices
 
-    ms = commands.add_parser("mask-signal", parents=[common], help="mask a signal file")
-    ms.add_argument("--input", help="signal file: one number per line, '#' comments")
-    ms.add_argument("--output", help="where to write the masked integer signal")
-    ms.add_argument("--scaled-output", dest="scaled_output",
-                    help="also write the pre-rounding masked signal here")
+    ms = _subcommand(commands, "mask-signal", "mask a signal file", _cmd_mask_signal)
+    ms.option("--input", _path, help="signal file: one number per line, '#' comments")
+    ms.option("--output", _path, help="where to write the masked integer signal")
+    ms.option("--scaled-output", _path, help="also write the pre-rounding masked signal here")
     _add_masking_options(ms)
 
-    mm = commands.add_parser("mask-microfile", parents=[common],
-                             help="mask counts extracted from a CSV and rewrite it")
-    mm.add_argument("--input", help="CSV microfile")
-    mm.add_argument("--output", help="where to write the rewritten CSV")
+    mm = _subcommand(commands, "mask-microfile", "mask counts extracted from a CSV and rewrite it", _cmd_mask_microfile)
+    mm.option("--input", _path, help="CSV microfile")
+    mm.option("--output", _path, help="where to write the rewritten CSV")
     _add_selection_options(mm)
     _add_masking_options(mm)
 
-    wm = commands.add_parser("wrm", parents=[common],
-                             help="dump the reconstruction matrix as CSV")
-    wm.add_argument("--length", help="signal length m")
-    wm.add_argument("--output", help="CSV destination (default stdout)")
+    wm = _subcommand(commands, "wrm", "dump the reconstruction matrix as CSV", _cmd_wrm)
+    wm.option("--length", _number, help="signal length m")
+    wm.option("--output", _path, help="CSV destination (default stdout)")
 
-    vf = commands.add_parser("verify", parents=[common],
-                             help="check total preservation and detail proportionality")
-    vf.add_argument("--original", help="original signal file (or CSV with selection flags)")
-    vf.add_argument("--masked", help="masked signal file (or CSV)")
-    vf.add_argument("--tol", help="relative tolerance (default 1e-6)")
+    vf = _subcommand(commands, "verify", "check total preservation and detail proportionality", _cmd_verify)
+    vf.option("--original", _path, help="original signal file (or CSV with selection flags)")
+    vf.option("--masked", _path, help="masked signal file (or CSV)")
+    vf.option("--tol", _tolerance, 1e-6, help="relative tolerance (default 1e-6)")
     _add_selection_options(vf)
     return parser
-
-
-_HANDLERS = {
-    "mask-signal": _cmd_mask_signal,
-    "mask-microfile": _cmd_mask_microfile,
-    "wrm": _cmd_wrm,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        defaults: dict = {}
-        if args.config:
-            try:
-                with open(args.config, encoding="utf-8") as handle:
-                    defaults = json.load(handle)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigurationError(f"{args.config}: invalid JSON ({exc})") from None
-            if not isinstance(defaults, dict):
-                raise ConfigurationError(f"{args.config}: expected a JSON object")
-            # a key may belong to another subcommand, so one file can serve several
-            options = {key for command in _HANDLERS for key in vars(parser.parse_args([command]))} - {"command", "config"}
-            unknown = ", ".join(repr(key) for key in defaults if key not in options)
-            if unknown:
-                raise ConfigurationError(f"{args.config}: unknown key {unknown}: no subcommand has that option")
-        given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
-        eff = {**defaults, **given}
-        for key in ("input", "output", "goals", "report", "scaled_output", "original", "masked"):
-            value = eff.get(key)
-            if not (value is None or isinstance(value, str) or (key == "goals" and isinstance(value, list))):
-                raise ConfigurationError(f"--{key.replace('_', '-')} expects a file path, got {value!r}")
-        return _HANDLERS[args.command](eff)
+        given = _read_json(args.config, dict, "a JSON object", ConfigurationError) if args.config else {}
+        # a key may belong to another subcommand, so one file can serve several
+        known = {key for command in parser.commands.values() for key in command.options}
+        unknown = ", ".join(repr(key) for key in given if key not in known)
+        if unknown:
+            raise ConfigurationError(f"{args.config}: unknown key {unknown}: no subcommand has that option")
+        given.update((key, value) for key, value in vars(args).items() if value is not None)
+        eff = {}
+        for key, (flag, convert, default) in parser.commands[args.command].options.items():
+            value = given.get(key)
+            eff[key] = default if value is None else convert(value, flag)
+        return args.handler(eff)
     except OSError as exc:
         where = f"cannot open {exc.filename}" if exc.filename else "I/O error"  # open() names its path, a write none
         print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigurationError, ShapeError) as exc:
+    except WavemaskError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MaskingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MASKING
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -312,6 +312,8 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     q = as_signal(q)
     if q.min() < 0 or not np.array_equal(q, np.floor(q)):
         raise DataError("quantity signal must contain non-negative integers")
+    if q.sum() >= 2.0**53:  # below it, float64 holds every count and the total exactly
+        raise DataError(f"quantity signal must total less than 2**53, got {q.sum():.17g}")
     filters = config.filters()
     dec = decompose(q, filters, config.level)
     wrm = build_wrm(dec.length, dec.level, filters)

@@ -119,13 +119,13 @@ def _daubechies_lowpass(order: int) -> np.ndarray:
 def make_filter(family: str, order: int) -> FilterPair:
     """Build a named orthonormal filter pair.
 
-    Supported: family "daubechies" (alias "db", "haar"), orders 1-3.
-    Order 1 is the Haar pair.
+    Supported: family "daubechies" (alias "db"), orders 1-3, and "haar",
+    order 1 only, which is the Daubechies order 1 pair.
     """
     fam = family.strip().lower()
-    if fam == "haar":
-        fam, order = "daubechies", 1
-    if fam not in ("daubechies", "db"):
+    if fam == "haar" and order != 1:
+        raise ConfigurationError(f"haar takes order 1 only, got {order}")
+    if fam not in ("daubechies", "db", "haar"):
         raise ConfigurationError(f"unsupported wavelet family {family!r}")
     lo = _daubechies_lowpass(order)
     return FilterPair(lowpass=lo, highpass=derive_highpass(lo), name=f"daubechies:{order}")
@@ -198,7 +198,7 @@ class Decomposition:
 def _check_divisible(m: int, level: int) -> None:
     if level < 1:
         raise ShapeError(f"decomposition level must be >= 1, got {level}")
-    if m % (1 << level):
+    if level >= int(m).bit_length() or m % (1 << level):  # compared first, so a huge level builds no huge 2**level
         raise ShapeError(f"signal length {m} is not divisible by 2**{level}")
 
 

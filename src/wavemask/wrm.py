@@ -58,9 +58,9 @@ class ReconstructionMatrix:
 
 def build_wrm(length: int, level: int, filters: FilterPair) -> ReconstructionMatrix:
     """Build the approximation-band operator from its impulse response (column 0)."""
-    _check_divisible(length, level)
     if length < 2:
         raise ShapeError(f"length must be >= 2, got {length}")
+    _check_divisible(length, level)
     unit = np.zeros(length >> level)
     unit[0] = 1.0
     impulse = reconstruct_component(unit, "approx", level, length, filters)

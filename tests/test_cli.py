@@ -171,6 +171,9 @@ def test_exit_codes(tmp_path):
     broken.write_text("[{bad json")
     assert main(["mask-signal", "--input", str(signal), "--goals", str(broken),
                  "--output", str(out)]) == 3
+    # every option is converted before any file is read: a bad --level wins over the broken goal file
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(broken),
+                 "--output", str(out), "--level", "x"]) == 1
 
     bad_numbers = tmp_path / "bad.txt"
     bad_numbers.write_text("1\ntwo\n3\n")
@@ -547,6 +550,17 @@ def test_non_finite_override_is_a_usage_error(tmp_path, capsys):
 PROBE_Q8 = (5, 9, 3, 7, 2, 8, 4, 6)
 
 
+def test_counts_totalling_2_53_or_more_are_a_data_error(tmp_path, capsys):
+    # float64 rounds 2**53 + 1 to 2**53, and the release summed to 9007199254740998 against the file's 9007199254741000
+    signal, goals, out = tmp_path / "big.txt", tmp_path / "goals.json", tmp_path / "masked.txt"
+    signal.write_text("".join(f"{v}\n" for v in (2**53 + 1, 1, 1, 1, 1, 1, 1, 1)))
+    goals.write_text(json.dumps([{"index": 2, "goal": "raise"}]))
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: quantity signal must total less than 2**53"), err
+
+
 @pytest.mark.parametrize("goals,options,code,message", [
     ([{"index": 2, "goal": "raise"}], ["--offset", "inf"], 1, "fixed offset must be a finite number, got inf"),
     ([{"index": 2, "goal": "raise"}], ["--offset", "1e308"], 2, "degenerate scale: shifted signal sums to inf"),
@@ -590,14 +604,19 @@ def test_report_rows_hold_at_the_reported_point(tmp_path, seed, op):
         assert gap <= 1e-6 * max(1.0, abs(row["rhs"])), (row["relation"], row["rhs"], lhs)
 
 
-@pytest.mark.parametrize("argv", [
-    ["mask-signal", "--level", "1.5"],
-    ["mask-signal", "--seed", "x"],
-    ["wrm", "--length", "16.5"],
-    ["wrm", "--length", "16", "--level", "1.5"],
-    ["verify", "--tol", "nan"],
-])
-def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["mask-signal", "--level", "1.5"], "--level expects"),
+    (["mask-signal", "--seed", "x"], "--seed expects"),
+    (["wrm", "--length", "16.5"], "--length expects"),
+    (["wrm", "--length", "16", "--level", "1.5"], "--level expects"),
+    (["verify", "--tol", "nan"], "--tol expects"),
+    # inf passed a release whose details deviate by 1.03, and -1 failed a file compared with itself
+    (["verify", "--tol", "inf"], "--tol expects a finite number >= 0, got 'inf'"),
+    (["verify", "--tol", "-1"], "--tol expects a finite number >= 0, got '-1'"),
+    # ran as haar, with output byte-identical to --wavelet haar
+    (["mask-signal", "--wavelet", "haar:3"], "haar takes order 1 only, got 3"),
+], ids=[f"argv{i}" for i in range(8)])
+def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv, message):
     signal, goals = write_inputs(tmp_path)
     paths = {
         "mask-signal": ["--input", str(signal), "--goals", str(goals), "--output", str(tmp_path / "o.txt")],
@@ -605,8 +624,9 @@ def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv):
         "verify": ["--original", str(signal), "--masked", str(signal)],
     }[argv[0]]
     assert main(argv + paths) == 1
-    flag = argv[-2]
-    assert f"error: {flag} expects" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
     assert not (tmp_path / "o.txt").exists()
 
 
@@ -625,6 +645,9 @@ def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv):
     ("wrm", {"output": 1}),
     ("verify", {"original": 3}),
     ("verify", {"masked": 3}),
+    # these two were used as the delimiter "5" and the attribute "5"
+    ("mask-microfile", {"delimiter": 5}),
+    ("mask-microfile", {"parameter_attribute": 5}),
 ])
 def test_config_paths_must_be_strings(tmp_path, capsys, command, options):
     # open() would take a number as a file descriptor: 1 wrote to stdout, 0 read stdin

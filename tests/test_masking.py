@@ -313,16 +313,21 @@ def test_assemble_degenerate_scale():
         mask_signal(q, config)
 
 
-def test_reassembly_beyond_the_float_range_is_refused():
-    # a count near the float maximum: its detail and the override's approximation sum past it
+def test_reassembly_beyond_the_float_range_is_refused(monkeypatch):
+    # a count near the float maximum, whose detail and the override's approximation summed past it, is no count now
     q = np.zeros(8)
     q[0] = 1.7e308
     config = MaskingConfig(goals=GoalSpec({5: Goal("raise")}), level=1, override_coeffs=(1.79e308, -1.79e308) * 2)
-    with pytest.raises(MaskingError, match="reassembled signal is not finite"):
+    with pytest.raises(DataError, match="quantity signal must total less than 2\\*\\*53"):
         mask_signal(q, config)
     # a finite reassembly whose shift overflows the total
+    q = np.array([5.0, 9, 3, 7, 2, 8, 4, 6])
     config = MaskingConfig(goals=GoalSpec({5: Goal("raise")}), level=1, override_coeffs=(1.79e308,) * 4)
     with pytest.raises(MaskingError, match="degenerate scale: shifted signal sums to inf"):
+        mask_signal(q, config)
+    # the synthesis gains stay below 1, so below 2**53 only a fault can make the reassembly overflow
+    monkeypatch.setattr(masking, "reconstruct_component", lambda *args: np.full(8, math.inf))
+    with pytest.raises(MaskingError, match="reassembled signal is not finite"):
         mask_signal(q, config)
 
 

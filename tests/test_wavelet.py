@@ -9,6 +9,7 @@ from wavemask.errors import ConfigurationError, DataError, ShapeError
 from wavemask.wavelet import (
     Decomposition,
     FilterPair,
+    _check_divisible,
     analysis_step,
     as_signal,
     decompose,
@@ -57,6 +58,8 @@ def test_make_filter_rejects_unknown():
         make_filter("daubechies", 0)
     with pytest.raises(ConfigurationError):
         make_filter("daubechies", 4)
+    with pytest.raises(ConfigurationError, match="haar takes order 1 only, got 3"):
+        make_filter("haar", 3)
 
 
 def test_derive_highpass_reverses_with_alternating_signs():
@@ -135,6 +138,17 @@ def test_decompose_constant_haar():
 def test_decompose_rejects_indivisible_length():
     with pytest.raises(ShapeError):
         decompose(np.arange(6.0), make_filter("haar", 1), 2)
+
+
+@pytest.mark.parametrize("m,level,ok", [(8, 3, True), (8, 4, False), (16, 4, True), (16, 5, False), (2**62, 62, True),
+                                        (2**62, 63, False), (8, 100_000_000_000, False), (8, 2**70, False)])
+def test_check_divisible_compares_the_level_before_any_shift(m, level, ok):
+    # a level of 1e11 used to build the integer 2**level first: 12.5 GB, and a MemoryError
+    if ok:
+        _check_divisible(m, level)
+    else:
+        with pytest.raises(ShapeError, match=f"signal length {m} is not divisible by 2\\*\\*{level}$"):
+            _check_divisible(m, level)
 
 
 @pytest.mark.parametrize("order,length,level", [(1, 8, 2), (2, 16, 2), (2, 32, 3)])
