@@ -8,7 +8,7 @@ count signals from categorical CSV files and rewrites them to match.
 """
 
 from .errors import ConfigurationError, DataError, MaskingError, ShapeError, WavemaskError
-from .lp import LinearProgram, LpSolution, Objective, max_violation, solve
+from .lp import LinearProgram, LpSolution, max_violation, solve
 from .masking import (
     Goal,
     GoalCheck,
@@ -65,7 +65,6 @@ __all__ = [
     "MicrofileTable",
     "ModificationPlan",
     "Move",
-    "Objective",
     "ReconstructionMatrix",
     "SelectionSpec",
     "ShapeError",

@@ -92,8 +92,14 @@ def _typed(value, flag: str, kind: type, expects: str):
 
 
 _text = functools.partial(_typed, kind=str, expects="a string")
-_path = functools.partial(_typed, kind=str, expects="a file path")
 _boolean = functools.partial(_typed, kind=bool, expects="true or false")
+
+
+def _path(value, flag: str) -> str:
+    with contextlib.suppress(UnicodeEncodeError):  # a lone surrogate, from JSON; sys.argv's surrogateescape ones encode
+        if b"\0" not in os.fsencode(_typed(value, flag, str, "a file path")):  # open() refuses a NUL too
+            return value
+    raise ConfigurationError(f"{flag} expects a file path without a NUL or a lone surrogate, got {value!r}")
 
 
 def _goal_source(value, flag: str):
@@ -457,9 +463,9 @@ def main(argv=None) -> int:
         where = f"cannot open {exc.filename}" if exc.filename else "I/O error"  # open() names its path, a write none
         print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except WavemaskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES[type(exc)]
+    except (WavemaskError, MemoryError) as exc:  # MemoryError: e.g. numpy refusing an array of a huge --length
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,11 @@
 A system is a coefficient matrix held only as its non-zero (row, column,
 value) entries, row-major (the solver, ``max_violation`` and the report's
 ``lp_rows`` read them), with a relation and a rhs per row and a free variable
-per column, e.g. 256 goal rows of a few entries over 512 coefficients, plus
-optional box bounds: each side that is set is a unit row after the matrix's
-rows, held as its one entry.  Bland's rule, free variables split into
+per column, e.g. 256 goal rows of a few entries over 512 coefficients; a
+bound is a row with one entry.  Bland's rule, free variables split into
 positive parts, float64 arithmetic; untouched columns come back as 0;
-infeasible and unbounded are statuses.  A system with an objective is
-optimized; one without stops at its first basic feasible point.
+infeasible and unbounded are statuses.  A cost vector is maximized; without
+one, the solver stops at the first basic feasible point.
 
 Rows sharing a touched column, directly or through other rows, form a block;
 a goal LP has many small ones.  Blocks share no row and no column, so each
@@ -50,8 +49,6 @@ nothing, and ``x`` comes from the rhs column alone).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,53 +62,27 @@ FEAS_TOL = 1e-7
 RELATIONS = ("<=", ">=", "=")
 
 
-def _finite(value, what: str) -> float | None:
-    """``value`` as a finite float; None stays None, anything else (a bool, a string, NaN, inf) is rejected."""
-    if value is None:
-        return None
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        # checked as a float: a numpy float32 compared with float64's max overflows in its own width
-        number = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
-    return number
-
-
-@dataclass(frozen=True)
-class Objective:
-    coeffs: np.ndarray
-    sense: str  # "maximize" or "minimize"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs))
-        if self.sense not in ("maximize", "minimize"):
-            raise ConfigurationError(f"unknown objective sense {self.sense!r}")
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """Rows ``A @ x <relations> rhs`` over ``num_vars`` free variables, one row per rhs value.
 
     ``entries`` holds A as (rows, columns, values) of its non-zeros in
-    row-major order, each in range, finite and non-zero, stored as read-only
-    copies.  Bounds default to unbounded; they are stored as one (lower,
-    upper) pair per column, each side a finite float, or None for an open side.
+    row-major order, each in range, finite and non-zero; ``objective``, when
+    set, holds one finite cost per column, which ``solve`` maximizes.  All
+    are stored as read-only copies.
     """
 
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     num_vars: int
     relations: tuple[str, ...]
     rhs: np.ndarray
-    objective: Objective | None = None
-    bounds: tuple[tuple[float | None, float | None], ...] | None = None
+    objective: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(map(_frozen, self.entries, (np.intp, np.intp, np.float64))))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "rhs", _frozen(self.rhs))
+        object.__setattr__(self, "objective", None if self.objective is None else _frozen(self.objective))
         (rows, cols, values), nr, nv = self.entries, self.rhs.size, self.num_vars
         if nv < 1 or len(self.relations) != nr or self.rhs.ndim != 1:
             raise ConfigurationError(f"{nr} rhs values, {len(self.relations)} relations and {nv} columns (at least one)")
@@ -122,19 +93,11 @@ class LinearProgram:
         key = rows * nv + cols  # strictly increasing in row-major order
         if np.any((cols < 0) | (cols >= nv) | (key >= nr * nv) | (np.diff(key, prepend=-1) <= 0)):
             raise ConfigurationError(f"entries must be row-major, one per (row, column) of the {nr} x {nv} matrix")
-        if not (np.all(np.isfinite(values)) and np.all(values) and np.all(np.isfinite(self.rhs))):
-            raise ConfigurationError("entries must be finite and non-zero, and rhs values finite")
-        if self.objective is not None and self.objective.coeffs.size != self.num_vars:
-            raise ConfigurationError("objective length does not match num_vars")
-        if self.bounds is not None:
-            try:
-                pairs = tuple((_finite(lower, "bounds: a lower side"), _finite(upper, "bounds: an upper side"))
-                              for lower, upper in self.bounds)
-            except (TypeError, ValueError):  # not iterable, or an item that is not a pair
-                raise ConfigurationError(f"bounds must be (lower, upper) pairs, got {self.bounds!r}") from None
-            object.__setattr__(self, "bounds", pairs)
-            if len(self.bounds) != self.num_vars:
-                raise ConfigurationError(f"{len(self.bounds)} bound pairs for {self.num_vars} columns")
+        if self.objective is not None and self.objective.shape != (nv,):
+            raise ConfigurationError(f"objective must have shape ({nv},), got {self.objective.shape}")
+        costs = () if self.objective is None else self.objective
+        if not (np.all(np.isfinite(values)) and np.all(values) and np.all(np.isfinite(self.rhs)) and np.all(np.isfinite(costs))):
+            raise ConfigurationError("entries must be finite and non-zero, and rhs values and costs finite")
 
 
 @dataclass(frozen=True)
@@ -146,27 +109,11 @@ class LpSolution:
     pivots: int = 0
 
 
-def _bound_rows(lp: LinearProgram) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every row's entries, relation and rhs, with each bound side that is set as a unit row last.
-
-    Bound side k is row lp.rhs.size + k, with one entry: 1.0 on its column;
-    they come per column, lower then upper.
-    """
-    relation = np.array(lp.relations, dtype=str)
-    if lp.bounds is None:
-        return lp.entries, relation, lp.rhs
-    limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
-    column, side = np.nonzero(np.not_equal(limits, None))
-    rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
-    units = (lp.rhs.size + np.arange(column.size), column, np.ones(column.size))
-    return tuple(map(np.concatenate, zip(lp.entries, units))), np.concatenate((relation, np.array((">=", "<="))[side])), rhs
-
-
 def max_violation(lp: LinearProgram, x) -> float:
-    """Largest violation of any row or bound at point x (0 when feasible)."""
+    """Largest violation of any row at point x (0 when feasible)."""
     x = np.asarray(x, dtype=np.float64)
-    (rows, cols, values), relation, rhs = _bound_rows(lp)
-    excess = np.bincount(rows, values * x[cols], minlength=rhs.size) - rhs
+    (rows, cols, values), relation = lp.entries, np.array(lp.relations, dtype=str)
+    excess = np.bincount(rows, values * x[cols], minlength=lp.rhs.size) - lp.rhs
     gap = np.where(relation == ">=", -excess, np.where(relation == "=", np.abs(excess), excess))
     return float(np.max(gap, initial=0.0))
 
@@ -311,20 +258,18 @@ class _Blocks:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Optimize ``lp.objective`` when it is set; without one, stop at the first basic feasible point.
+    """Maximize ``lp.objective`` when it is set; without one, stop at the first basic feasible point.
 
     Deterministic: identical inputs produce identical solutions.
     """
-    (rows, cols, values), relation, rhs = _bound_rows(lp)
+    rows, cols, values = lp.entries
     # A column zero in every row and in the cost keeps a reduced cost of
     # exactly 0, so Bland's rule never picks it; pivots act element by element,
     # so dropping it changes no other entry, and it comes back as 0.
-    touched = np.zeros(lp.num_vars, dtype=bool)
+    touched = np.zeros(lp.num_vars, dtype=bool) if lp.objective is None else lp.objective != 0.0
     touched[cols] = True
-    if lp.objective is not None:
-        touched |= lp.objective.coeffs != 0.0
     columns = np.flatnonzero(touched)
-    blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, relation, rhs)
+    blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, np.array(lp.relations, dtype=str), lp.rhs)
     pivots, _stuck = blocks.run(blocks.t.shape[2] - 1)  # a stuck block keeps its residual
     if np.any(blocks.t[:, -1, -1] < -FEAS_TOL):
         return LpSolution(status="infeasible", pivots=pivots)
@@ -335,7 +280,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         x[columns] = blocks.extract()
         return LpSolution(status="feasible", x=x, pivots=pivots)
 
-    gain = (1.0 if lp.objective.sense == "maximize" else -1.0) * lp.objective.coeffs[columns]
+    gain = lp.objective[columns]
     costs = np.zeros(blocks.t[:, -1, :-1].shape)
     costs[blocks.col_block, blocks.col_local] = gain
     costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
@@ -345,4 +290,4 @@ def solve(lp: LinearProgram) -> LpSolution:
     if stuck:
         return LpSolution(status="unbounded", pivots=pivots)
     x[columns] = blocks.extract()
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots)
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x), pivots=pivots)

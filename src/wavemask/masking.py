@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError
-from .lp import LinearProgram, _finite, max_violation, solve
-from .wavelet import Decomposition, FilterPair, _frozen, as_signal, decompose, make_filter, reconstruct_component
+from .lp import LinearProgram, max_violation, solve
+from .wavelet import INTP_MAX, Decomposition, _frozen, as_signal, decompose, make_filter, reconstruct_component
 from .wrm import ReconstructionMatrix, build_wrm
 
 GOAL_TOL = 1e-7
@@ -39,7 +39,6 @@ OVERRIDE_SLACK = 1.0
 
 GOAL_KINDS = ("raise", "lower", "free", "bound")
 GOAL_KEYS = ("index", "goal", "min", "max")
-INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _position(index) -> int:
@@ -49,6 +48,21 @@ def _position(index) -> int:
     if not (number and 1 <= index <= INTP_MAX and index % 1 == 0):
         raise ConfigurationError(f"goal index must be an integer from 1 to {INTP_MAX}, got {index!r}")
     return int(index)
+
+
+def _finite(value, what: str) -> float | None:
+    """``value`` as a finite float; None stays None, anything else (a bool, a string, NaN, inf) is rejected."""
+    if value is None:
+        return None
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        # checked as a float: a numpy float32 compared with float64's max overflows in its own width
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -167,9 +181,6 @@ class MaskingConfig:
         if self.override_coeffs is not None:
             values = tuple(_finite(v, "an override coefficient") for v in self.override_coeffs)
             object.__setattr__(self, "override_coeffs", values)
-
-    def filters(self) -> FilterPair:
-        return make_filter(self.family, self.order)
 
 
 class GoalCheck(NamedTuple):
@@ -314,7 +325,7 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
         raise DataError("quantity signal must contain non-negative integers")
     if q.sum() >= 2.0**53:  # below it, float64 holds every count and the total exactly
         raise DataError(f"quantity signal must total less than 2**53, got {q.sum():.17g}")
-    filters = config.filters()
+    filters = make_filter(config.family, config.order)
     dec = decompose(q, filters, config.level)
     wrm = build_wrm(dec.length, dec.level, filters)
     base_approx = wrm.apply(dec.approx)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, ShapeError
 
 ATOL = 1e-12  # filter invariant tolerance
+INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _frozen(values: np.ndarray, dtype=np.float64) -> np.ndarray:

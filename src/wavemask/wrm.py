@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .wavelet import FilterPair, _check_divisible, _frozen, reconstruct_component
+from .wavelet import INTP_MAX, FilterPair, _check_divisible, _frozen, reconstruct_component
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class ReconstructionMatrix:
 
 def build_wrm(length: int, level: int, filters: FilterPair) -> ReconstructionMatrix:
     """Build the approximation-band operator from its impulse response (column 0)."""
-    if length < 2:
-        raise ShapeError(f"length must be >= 2, got {length}")
+    if not 2 <= length <= INTP_MAX // 8:  # checked before allocating: numpy holds no larger float64 array
+        raise ShapeError(f"length must be >= 2 and at most {INTP_MAX // 8}, got {length}")
     _check_divisible(length, level)
     unit = np.zeros(length >> level)
     unit[0] = 1.0

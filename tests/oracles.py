@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from wavemask.errors import ConfigurationError, MaskingError
-from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, Objective, max_violation
+from wavemask.errors import MaskingError
+from wavemask.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution, max_violation
 from wavemask.masking import (
     GOAL_TOL,
     GoalCheck,
@@ -29,7 +29,7 @@ from wavemask.masking import (
     solve_approximation,
 )
 from wavemask.microdata import MicrofileTable, Move
-from wavemask.wavelet import as_signal, decompose, reconstruct_component
+from wavemask.wavelet import as_signal, decompose, make_filter, reconstruct_component
 from wavemask.wrm import build_wrm
 
 
@@ -89,7 +89,7 @@ def mask_signal_two_results(q, config):
     bands through the decomposition's filters, and the offset cases one by one.
     """
     q = as_signal(q)
-    filters = config.filters()
+    filters = make_filter(config.family, config.order)
     dec = decompose(q, filters, config.level)
     wrm = build_wrm(dec.length, dec.level, filters)
     base_approx = wrm.apply(dec.approx)
@@ -198,11 +198,11 @@ def random_lowpass(rng) -> np.ndarray:
     return np.array([1 - c + s, 1 + c + s, 1 + c - s, 1 - c - s]) / (2.0 * np.sqrt(2.0))
 
 
-def dense_lp(coeffs, relations, rhs, objective=None, bounds=None) -> LinearProgram:
+def dense_lp(coeffs, relations, rhs, objective=None) -> LinearProgram:
     """The program with this dense coefficient matrix: its non-zero entries, row-major by ``np.nonzero``."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     rows, cols = np.nonzero(coeffs)
-    return LinearProgram((rows, cols, coeffs[rows, cols]), coeffs.shape[1], relations, rhs, objective, bounds)
+    return LinearProgram((rows, cols, coeffs[rows, cols]), coeffs.shape[1], relations, rhs, objective)
 
 
 def dense(lp: LinearProgram) -> np.ndarray:
@@ -213,27 +213,28 @@ def dense(lp: LinearProgram) -> np.ndarray:
     return out
 
 
-def with_bounds(lp: LinearProgram) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """(coeffs, relations, rhs) with a dense unit row per bound side that is set, the LP's own arrays when unbounded."""
-    if lp.bounds is None:
-        return dense(lp), lp.relations, lp.rhs
-    limits = np.array(lp.bounds, dtype=object).reshape(lp.num_vars, 2)
-    column, side = np.nonzero(np.not_equal(limits, None))  # per column: lower, then upper
-    units = (column[:, None] == np.arange(lp.num_vars)).astype(np.float64)
+def with_bounds(lp: LinearProgram, bounds) -> LinearProgram:
+    """The program with a unit row per bound side that is set, after its own rows, given as entries.
+
+    ``bounds`` holds one (lower, upper) pair per column, a side None when it
+    is open.  The rows come per column, in column order: x_j >= lower, then
+    x_j <= upper.
+    """
+    limits = np.array(bounds, dtype=object).reshape(lp.num_vars, 2)
+    column, side = np.nonzero(np.not_equal(limits, None))
+    units = (lp.rhs.size + np.arange(column.size), column, np.ones(column.size))
     relations = lp.relations + tuple(np.array((">=", "<="))[side].tolist())
     rhs = np.concatenate((lp.rhs, limits[column, side].astype(np.float64)))
-    if not np.all(np.isfinite(rhs)):
-        raise ConfigurationError("constraint contains non-finite values")
-    return np.vstack((dense(lp), units)), relations, rhs
+    return LinearProgram(tuple(map(np.concatenate, zip(lp.entries, units))), lp.num_vars, relations, rhs, lp.objective)
 
 
 def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
-    """Solve every n-subset of tight rows, keep feasible points, take the best.
+    """Solve every n-subset of tight rows, keep feasible points, take the largest objective.
 
-    Needs bounds in the program so the optimum sits on a vertex.
+    Needs bounding rows in the program so the optimum sits on a vertex.
     Returns (status, best_value).
     """
-    coeffs, _relations, rhs = with_bounds(lp)
+    coeffs, rhs = dense(lp), lp.rhs
     n = lp.num_vars
     best = None
     feasible = False
@@ -247,20 +248,15 @@ def vertex_optimum(lp: LinearProgram, tol: float = 1e-7):
         if not np.all(np.isfinite(x)) or max_violation(lp, x) > tol:
             continue
         feasible = True
-        value = float(lp.objective.coeffs @ x)
-        if best is None:
-            best = value
-        elif lp.objective.sense == "maximize":
-            best = max(best, value)
-        else:
-            best = min(best, value)
+        value = float(lp.objective @ x)
+        best = value if best is None else max(best, value)
     return ("optimal", best) if feasible else ("infeasible", None)
 
 
 def max_violation_loop(lp: LinearProgram, x) -> float:
-    """Largest row or bound violation at x, one dot product per row."""
+    """Largest row violation at x, one dot product per row."""
     worst = 0.0
-    for coeffs, relation, rhs in zip(*with_bounds(lp)):
+    for coeffs, relation, rhs in zip(dense(lp), lp.relations, lp.rhs):
         lhs = float(coeffs @ x)
         gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[relation]
         worst = max(worst, gap)
@@ -371,7 +367,7 @@ def _extract(tab: _Tableau, num_vars: int) -> np.ndarray:
 def _build_phase1_full_width(system, num_vars: int):
     """Standard-form tableau with split variables, slacks and artificials.
 
-    ``system`` is the (coeffs, relations, rhs) triple of ``with_bounds``.
+    ``system`` is the (dense coeffs, relations, rhs) triple of a program.
     """
     rows = list(zip(*system))
     nr = len(rows)
@@ -405,12 +401,12 @@ def _build_phase1_full_width(system, num_vars: int):
 def solve_full_width(lp: LinearProgram, counts: dict | None = None) -> LpSolution:
     """Sequential Bland's rule over every column, one tableau row laid out at a time.
 
-    Phase 2 runs iff the program has an objective.
+    Phase 2, which maximizes the objective, runs iff the program has one.
 
     ``counts``, when given, gains the run's pivots, its phase-1 pivots, exact
     ratio ties and phase-1 early stops.
     """
-    tab, split, art_at = _build_phase1_full_width(with_bounds(lp), lp.num_vars)
+    tab, split, art_at = _build_phase1_full_width((dense(lp), lp.relations, lp.rhs), lp.num_vars)
     ties = 0
 
     def solution(**fields) -> LpSolution:
@@ -434,17 +430,15 @@ def solve_full_width(lp: LinearProgram, counts: dict | None = None) -> LpSolutio
     if lp.objective is None:
         return solution(status="feasible", x=_extract(tab, lp.num_vars))
 
-    sense = lp.objective.sense
     costs = np.zeros(tab.ncols)
-    sign = 1.0 if sense == "maximize" else -1.0
-    costs[: lp.num_vars] = sign * lp.objective.coeffs
-    costs[lp.num_vars : split] = -sign * lp.objective.coeffs
+    costs[: lp.num_vars] = lp.objective
+    costs[lp.num_vars : split] = -lp.objective
     tab.set_objective(costs)
     status = tab.run()
     if status == "unbounded":
         return solution(status="unbounded")
     x = _extract(tab, lp.num_vars)
-    return solution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x))
+    return solution(status="optimal", x=x, objective_value=float(lp.objective @ x))
 
 
 def solve_each_block(lp: LinearProgram, counts: dict | None = None) -> LpSolution:
@@ -452,16 +446,16 @@ def solve_each_block(lp: LinearProgram, counts: dict | None = None) -> LpSolutio
 
     ``wavemask.lp.solve`` drops the columns no row or cost touches and pivots
     independent row blocks side by side, so the two must agree bit for bit,
-    pivot count included.  Bound sides are unit rows; a block is a connected
+    pivot count included.  A block is a connected
     set of rows and columns, joined by non-zero entries, found by a plain
     union-find.  A row with no entry gets one all-zero column.  The program
     is infeasible if a block is (pivots: every block's phase-1 pivots), else
     unbounded if a block is, else x is put together from the blocks'.
     ``counts`` gains each block's counts.
     """
-    coeffs, relations, rhs = with_bounds(lp)
+    coeffs, relations, rhs = dense(lp), lp.relations, lp.rhs
     nr, n = coeffs.shape
-    costs = np.zeros(n) if lp.objective is None else lp.objective.coeffs
+    costs = np.zeros(n) if lp.objective is None else lp.objective
     parent = list(range(nr + n))
 
     def root(node: int) -> int:
@@ -480,7 +474,7 @@ def solve_each_block(lp: LinearProgram, counts: dict | None = None) -> LpSolutio
         rows = [node for node in nodes if node < nr]
         cols = [node - nr for node in nodes if node >= nr]
         part = coeffs[rows][:, cols] if cols else np.zeros((len(rows), 1))
-        objective = None if lp.objective is None else Objective(costs[cols] if cols else [0.0], lp.objective.sense)
+        objective = None if lp.objective is None else (costs[cols] if cols else [0.0])
         block_counts: dict = {}
         solution = solve_full_width(
             dense_lp(part, [relations[row] for row in rows], rhs[rows], objective=objective), block_counts
@@ -500,11 +494,14 @@ def solve_each_block(lp: LinearProgram, counts: dict | None = None) -> LpSolutio
         return LpSolution(status="unbounded", pivots=pivots)
     if lp.objective is None:
         return LpSolution(status="feasible", x=x, pivots=pivots)
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective.coeffs @ x), pivots=pivots)
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x), pivots=pivots)
 
 
 def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
-    """Random boxed LP, feasible for most draws but not all."""
+    """Random LP boxed to [-10, 10] by unit rows, feasible for most draws but not all.
+
+    Half the draws minimize: they maximize the negated costs.
+    """
     n = int(rng.integers(2, max_vars + 1))
     anchor = rng.uniform(-3.0, 3.0, size=n)
     rows, relations, limits = [], [], []
@@ -520,14 +517,9 @@ def random_lp(rng, max_vars: int = 4, max_rows: int = 8) -> LinearProgram:
         rows.append(coeffs)
         relations.append(relation)
         limits.append(rhs)
-    sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
-    return dense_lp(
-        np.array(rows),
-        relations,
-        limits,
-        objective=Objective(rng.uniform(-5.0, 5.0, size=n), sense),
-        bounds=tuple((-10.0, 10.0) for _ in range(n)),
-    )
+    sign = (1.0, -1.0)[int(rng.integers(0, 2))]
+    lp = dense_lp(np.array(rows), relations, limits, objective=sign * rng.uniform(-5.0, 5.0, size=n))
+    return with_bounds(lp, ((-10.0, 10.0),) * n)
 
 
 def gather_rows(wrm, positions=None) -> np.ndarray:

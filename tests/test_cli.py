@@ -538,6 +538,35 @@ def test_wrm_length_below_two_is_a_usage_error(capsys):
     assert capsys.readouterr().err.count("length must be >= 2") == 2
 
 
+@pytest.mark.parametrize("length", [10**21, 2**62, 2**60])
+def test_wrm_length_beyond_numpy_is_refused_before_any_allocation(capsys, length):
+    # 10**21 made numpy raise "Maximum allowed dimension exceeded"; 2**60 float64s take 2**63 bytes, past intp
+    assert main(["wrm", "--length", str(length), "--level", "1"]) == 1
+    assert capsys.readouterr().err == f"error: length must be >= 2 and at most {2**60 - 1}, got {length}\n"
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 364. TiB for an array with shape (50000000000000,) and data type float64"),
+     "Unable to allocate 364. TiB for an array with shape (50000000000000,) and data type float64"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_a_usage_error(monkeypatch, capsys, error, message):
+    """A length that passes the size check can still be too large to allocate: exit 1 and one line, no traceback."""
+    def build_wrm(length, level, filters):
+        raise error
+
+    monkeypatch.setattr(cli, "build_wrm", build_wrm)
+    assert main(["wrm", "--length", "100000000000000", "--level", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_surrogate_escaped_argv_path_is_taken(tmp_path):
+    """sys.argv decodes a non-UTF-8 file name byte with surrogateescape; that path still encodes, so it is opened."""
+    out = tmp_path / "dump\udcff.csv"
+    assert main(["wrm", "--length", "16", "--output", str(out)]) == 0
+    assert os.fsencode(out).endswith(b"dump\xff.csv") and len(out.read_text().splitlines()) == 16
+
+
 def test_non_finite_override_is_a_usage_error(tmp_path, capsys):
     signal, goals = write_inputs(tmp_path)
     out = tmp_path / "masked.txt"
@@ -648,6 +677,12 @@ def test_numeric_flags_convert_by_one_rule(tmp_path, capsys, argv, message):
     # these two were used as the delimiter "5" and the attribute "5"
     ("mask-microfile", {"delimiter": 5}),
     ("mask-microfile", {"parameter_attribute": 5}),
+    # strings that open() refuses: a NUL raised ValueError, a lone surrogate UnicodeEncodeError after the masking
+    ("mask-signal", {"input": "a\u0000b"}),
+    ("mask-signal", {"goals": "\u0000"}),
+    ("mask-signal", {"output": "\ud800"}),
+    ("mask-microfile", {"output": "o\udfff.csv"}),
+    ("wrm", {"output": "\u0000"}),
 ])
 def test_config_paths_must_be_strings(tmp_path, capsys, command, options):
     # open() would take a number as a file descriptor: 1 wrote to stdout, 0 read stdin

@@ -53,7 +53,7 @@ HOSTILE = st.one_of(
 )
 # a path that is not a string never reaches open(); a string one could write outside the example's directory
 NOT_A_STRING = st.sampled_from([v for v in HOSTILE_VALUES if not isinstance(v, str)])
-# wrm allocates O(length) before any check (a length too large to allocate is a MemoryError), so it stays small
+# wrm allocates O(length) (a length too large to allocate is a MemoryError, exit 1), so a drawn one stays small
 SMALL_LENGTH = st.sampled_from([math.nan, math.inf, True, "", "x", [], {}, 16.5, "16.5", -(2**70), 0, 1, 3, 12])
 # per option: (values a run takes, near misses)
 VALUES = {
@@ -250,6 +250,9 @@ def _run(case, root: Path):
 @example(case=probe({"level": "100000000000"}))
 @example(case=probe({}, signal=(2**53 + 1, 1, 1, 1, 1, 1, 1, 1)))
 @example(case=probe({}, command="mask-microfile", rows=MICRO_ROWS))
+@example(case=probe({}, config={"input": "a\u0000b"}))
+@example(case=probe({}, config={"output": "\ud800"}))
+@example(case=probe({"length": str(10**21)}, command="wrm"))
 def test_main_ends_in_a_documented_exit_code(case):
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, files = _run(case, Path(tmp))

@@ -21,17 +21,14 @@ from oracles import (
 )
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
 from wavemask.errors import ConfigurationError
-from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, Objective, _Blocks, max_violation, solve
+from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, _Blocks, max_violation, solve
 from wavemask.masking import GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
 
 
 def test_single_variable_maximum():
-    lp = dense_lp(
-        [[1.0], [1.0]], ("<=", ">="), (1.0, 0.0),
-        objective=Objective([1.0], "maximize"),
-    )
+    lp = dense_lp([[1.0], [1.0]], ("<=", ">="), (1.0, 0.0), objective=[1.0])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.x[0] - 1.0) < 1e-9
@@ -39,10 +36,13 @@ def test_single_variable_maximum():
 
 
 def test_objective_decides_whether_to_optimize():
-    """One program, solved with and without its objective: a feasible point, then the optimum."""
-    lp = dense_lp([[1.0, 1.0]], (">=",), (1.0,), objective=Objective([1.0, 2.0], "minimize"), bounds=((0.0, 3.0),) * 2)
+    """One program, solved with and without its objective: a feasible point, then the optimum.
+
+    Minimizing x + 2 y is maximizing -x - 2 y.
+    """
+    lp = with_bounds(dense_lp([[1.0, 1.0]], (">=",), (1.0,), objective=[-1.0, -2.0]), ((0.0, 3.0),) * 2)
     optimum = solve(lp)
-    assert (optimum.status, optimum.x.tolist(), optimum.objective_value) == ("optimal", [1.0, 0.0], 1.0)
+    assert (optimum.status, optimum.x.tolist(), optimum.objective_value) == ("optimal", [1.0, 0.0], -1.0)
     first = solve(replace(lp, objective=None))
     assert (first.status, first.objective_value) == ("feasible", None)
     assert max_violation(lp, first.x) == 0.0
@@ -54,10 +54,7 @@ def test_infeasible_status():
 
 
 def test_unbounded_status():
-    lp = dense_lp(
-        [[1.0]], (">=",), (0.0,),
-        objective=Objective([1.0], "maximize"),
-    )
+    lp = dense_lp([[1.0]], (">=",), (0.0,), objective=[1.0])
     assert solve(lp).status == "unbounded"
 
 
@@ -69,10 +66,9 @@ def test_equality_rows():
 
 
 def test_free_variables_can_go_negative():
-    lp = dense_lp(
-        [[1.0, 0.0], [0.0, 1.0]], ("<=", ">="), (-5.0, -2.0),
-        objective=Objective([1.0, -1.0], "maximize"),
-        bounds=((-10.0, 10.0), (-10.0, 10.0)),
+    lp = with_bounds(
+        dense_lp([[1.0, 0.0], [0.0, 1.0]], ("<=", ">="), (-5.0, -2.0), objective=[1.0, -1.0]),
+        ((-10.0, 10.0), (-10.0, 10.0)),
     )
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -81,10 +77,7 @@ def test_free_variables_can_go_negative():
 
 
 def test_bounds_are_honored_in_feasibility_mode():
-    lp = dense_lp(
-        [[1.0, 1.0]], (">=",), (3.0,),
-        bounds=((0.0, 2.0), (0.0, 2.0)),
-    )
+    lp = with_bounds(dense_lp([[1.0, 1.0]], (">=",), (3.0,)), ((0.0, 2.0), (0.0, 2.0)))
     sol = solve(lp)
     assert sol.status == "feasible"
     assert max_violation(lp, sol.x) <= 1e-7
@@ -104,7 +97,7 @@ def test_degenerate_instance_terminates():
         ],
         ("<=", "<=", "<=", ">=", ">=", ">=", ">="),
         (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-        objective=Objective([0.75, -150.0, 0.02, -6.0], "maximize"),
+        objective=[0.75, -150.0, 0.02, -6.0],
     )
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -188,12 +181,13 @@ def test_validation_errors():
         dense_lp([[1.0]], ("<=",), (np.inf,))
     with pytest.raises(ConfigurationError):
         dense_lp([[1.0]], ("!!",), (0.0,))
-    with pytest.raises(ConfigurationError):
-        Objective([1.0], "biggest")
-    with pytest.raises(ConfigurationError):
-        dense_lp([[1.0]], ("<=",), (0.0,), objective=Objective([1.0, 2.0], "maximize"))
-    with pytest.raises(ConfigurationError):
-        dense_lp(np.zeros((0, 1)), (), (), bounds=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ConfigurationError, match=r"objective must have shape \(1,\), got \(2,\)"):
+        dense_lp([[1.0]], ("<=",), (0.0,), objective=[1.0, 2.0])
+    with pytest.raises(ConfigurationError, match=r"objective must have shape \(2,\), got \(1, 2\)"):
+        dense_lp([[1.0, 1.0]], ("<=",), (0.0,), objective=[[1.0, 2.0]])
+    for cost in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="costs finite"):
+            dense_lp([[1.0, 1.0]], ("<=",), (0.0,), objective=[cost, 1.0])
     with pytest.raises(ConfigurationError, match="relations"):
         dense_lp([[1.0], [2.0]], ("<=",), (0.0, 1.0))
     with pytest.raises(ConfigurationError, match="rhs"):
@@ -219,31 +213,6 @@ def test_validation_errors():
             LinearProgram((rows, cols, values), 2, ("<=", "<="), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("bounds, message", [
-    (((0.0, 1.0, 2.0), (0.0, 1.0)), "pairs"),
-    ((5.0, (0.0, 1.0)), "pairs"),
-    (5.0, "pairs"),
-    ((("0", "1"), (0.0, 1.0)), "lower side must be a finite number, got '0'"),
-    (((True, 2.0), (0.0, 1.0)), "lower side must be a finite number, got True"),
-    (((0.0, np.nan), (0.0, 1.0)), "upper side must be a finite number, got nan"),
-    (((0.0, np.inf), (0.0, 1.0)), "upper side must be a finite number"),
-    (((0.0, 1.0),), "1 bound pairs for 2 columns"),
-    (((0.0, 1.0),) * 3, "3 bound pairs for 2 columns"),
-])
-def test_malformed_bounds_are_rejected_at_construction(bounds, message):
-    entries = (np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
-    with pytest.raises(ConfigurationError, match=message):
-        LinearProgram(entries, 2, (">=",), (1.0,), bounds=bounds)
-
-
-def test_bounds_are_stored_as_float_or_none_pairs():
-    entries = (np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
-    lp = LinearProgram(entries, 2, (">=",), (1.0,), bounds=[[np.int64(0), None], (None, np.float32(2.5))])
-    assert lp.bounds == ((0.0, None), (None, 2.5))
-    assert [type(side) for pair in lp.bounds for side in pair] == [float, type(None), type(None), float]
-    assert solve(lp).status == "feasible"
-
-
 def test_entries_are_read_only_copies():
     wrm = build_wrm(64, 2, make_filter("daubechies", 2))
     entries = wrm.row_entries([3, 1, 7])
@@ -258,15 +227,20 @@ def test_entries_are_read_only_copies():
         assert not stored.flags.writeable and not np.shares_memory(stored, source)
     mutable[2][0] = 5.0
     assert lp.entries[2][0] == 1.0 and dense(lp)[0, 2] == 1.0
+    costs = np.array([1, 0, -2])
+    lp = LinearProgram(mutable, 3, ("<=", "<="), (0.0, 0.0), objective=costs)
+    assert lp.objective.dtype == np.float64 and not lp.objective.flags.writeable
+    costs[1] = 7
+    assert lp.objective.tolist() == [1.0, 0.0, -2.0] and solve(lp).status == "unbounded"
 
 
-def random_lp_with_gaps(rng) -> tuple[LinearProgram, bool, bool]:
-    """A small LP with all-zero columns, signed zeros, "=" rows and any rhs sign.
+def gappy_draws(rng) -> tuple[LinearProgram, np.ndarray, float, tuple, bool]:
+    """The draws of one ``random_lp_with_gaps`` program, in draw order.
 
-    Returns the program with its objective, whether it is drawn to be
-    optimized (otherwise ``posed`` drops the objective), and whether some
-    column has a cost but no row or bound (optimizing must then end
-    unbounded or infeasible).
+    Returns its rows (a program without objective), its costs, the sign of
+    its sense (-1.0: minimize, that is maximize the negated costs), one
+    (lower, upper) bound pair per column (a side None when open; all open
+    for three draws in five), and whether it is drawn to be optimized.
     """
     n = int(rng.integers(1, 7))
     anchor = rng.uniform(-3.0, 3.0, size=n)
@@ -282,13 +256,26 @@ def random_lp_with_gaps(rng) -> tuple[LinearProgram, bool, bool]:
         relations.append(relation)
         limits.append(choices[int(rng.choice(4, p=(0.6, 0.2, 0.1, 0.1)))])
     costs = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-5.0, 5.0, size=n))
-    objective = Objective(costs, ("maximize", "minimize")[int(rng.integers(0, 2))])
-    bounds = None
+    sign = (1.0, -1.0)[int(rng.integers(0, 2))]
+    bounds = ((None, None),) * n
     if rng.random() < 0.4:
         bounds = tuple((None if rng.random() < 0.3 else -10.0, None if rng.random() < 0.3 else 10.0) for _ in range(n))
-    lp = dense_lp(np.reshape(rows, (len(rows), n)), relations, limits, objective=objective, bounds=bounds)
-    in_rows = np.any(with_bounds(lp)[0] != 0.0, axis=0)
-    return lp, bool(rng.integers(0, 2)), bool(np.any((costs != 0.0) & ~in_rows))
+    part = dense_lp(np.reshape(rows, (len(rows), n)), relations, limits)
+    return part, costs, sign, bounds, bool(rng.integers(0, 2))
+
+
+def random_lp_with_gaps(rng) -> tuple[LinearProgram, bool, bool]:
+    """A small LP with all-zero columns, signed zeros, "=" rows and any rhs sign, its bound rows last.
+
+    Returns the program with its objective, whether it is drawn to be
+    optimized (otherwise ``posed`` drops the objective), and whether some
+    column has a cost but no row, bound rows included (optimizing must then
+    end unbounded or infeasible).
+    """
+    part, costs, sign, bounds, optimize = gappy_draws(rng)
+    lp = with_bounds(replace(part, objective=sign * costs), bounds)
+    in_rows = np.any(dense(lp) != 0.0, axis=0)
+    return lp, optimize, bool(np.any((costs != 0.0) & ~in_rows))
 
 
 def posed(lp: LinearProgram, optimize: bool) -> LinearProgram:
@@ -332,7 +319,7 @@ def test_touched_columns_match_full_width_tableau():
         if optimize and has_cost_only_column:
             assert status in ("unbounded", "infeasible")
             cost_only += status == "unbounded"
-        no_rows += with_bounds(lp)[2].size == 0
+        no_rows += lp.rhs.size == 0
         zero_column += lp.rhs.size > 0 and not np.all(np.any(dense(lp) != 0.0, axis=0))
         equality += "=" in lp.relations
         signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
@@ -343,8 +330,8 @@ def test_touched_columns_match_full_width_tableau():
         assert assert_same_solution(lp) == "feasible"
 
 
-def trap(rng) -> LinearProgram:
-    """A one-column part aimed at sequential Bland's tolerance rules.
+def trap(rng, sign: float) -> LinearProgram:
+    """A one-column part aimed at sequential Bland's tolerance rules, its drawn cost times ``sign``.
 
     Either two rows whose entries lie in (PIVOT_TOL / 2, PIVOT_TOL]: phase 1
     finds the column improving (its reduced cost sums both rows) but no
@@ -352,7 +339,7 @@ def trap(rng) -> LinearProgram:
     x >= 2**30: at that rhs one ulp exceeds FEAS_TOL, so the phase-1
     verdict depends on the order in which the residual is summed.
     """
-    objective = Objective([float(rng.uniform(-1.0, 1.0))], "maximize")
+    objective = [sign * float(rng.uniform(-1.0, 1.0))]
     if rng.random() < 0.5:
         return dense_lp([[1.0]], (">=",), (2.0**30,), objective=objective)
     tiny = float(rng.uniform(0.5, 1.0)) * PIVOT_TOL
@@ -360,28 +347,31 @@ def trap(rng) -> LinearProgram:
     return dense_lp([[tiny], [tiny]], (">=", "="), (rhs, rhs), objective=objective)
 
 
-def stacked_lp(rng) -> LinearProgram:
-    """2-12 ``random_lp_with_gaps`` programs laid block-diagonally, rows and columns shuffled.
+def stacked_lp(rng) -> tuple[LinearProgram, bool]:
+    """2-12 ``random_lp_with_gaps`` programs laid block-diagonally, rows and columns shuffled, bound rows last.
 
     About half the parts have their coefficients and rhs rounded to
     integers, which makes exact ratio ties common.  So that every status is
     common, a third of the cases take only parts that alone end feasible or
     optimal, a third only parts that alone are not infeasible, and a third
-    any parts.  Two cases in five add a ``trap``.  Parts without
-    bounds leave their columns open when another part has bounds.  Half the
-    cases keep their objective, to be optimized.
+    any parts.  Two cases in five add a ``trap``.  Every part takes the
+    case's one sense, and its own drawn bounds: their unit rows come after
+    all shuffled rows, per column in shuffled column order.  Half the cases
+    keep their objective, to be optimized.  Returns the program and whether
+    it has a bound row.
     """
     optimize = bool(rng.integers(0, 2))
-    sense = ("maximize", "minimize")[int(rng.integers(0, 2))]
+    sign = (1.0, -1.0)[int(rng.integers(0, 2))]
     allowed = ({"feasible", "optimal"}, {"feasible", "optimal", "unbounded"}, None)[int(rng.integers(0, 3))]
-    parts = [trap(rng)] if rng.random() < 0.4 else []
+    parts, boxes = ([trap(rng, sign)], [((None, None),)]) if rng.random() < 0.4 else ([], [])
     while len(parts) < 2 or (len(parts) < 12 and rng.random() < 0.8):
-        part = random_lp_with_gaps(rng)[0]
-        part = replace(part, objective=Objective(part.objective.coeffs, sense))
+        part, costs, _sign, bounds, _optimize = gappy_draws(rng)
+        part = replace(part, objective=sign * costs)
         if rng.random() < 0.5:
-            part = dense_lp(np.round(dense(part)), part.relations, np.round(part.rhs), part.objective, part.bounds)
-        if allowed is None or solve_full_width(posed(part, optimize)).status in allowed:
+            part = dense_lp(np.round(dense(part)), part.relations, np.round(part.rhs), part.objective)
+        if allowed is None or solve_full_width(posed(with_bounds(part, bounds), optimize)).status in allowed:
             parts.append(part)
+            boxes.append(bounds)
     nrows = [part.rhs.size for part in parts]
     ncols = [part.num_vars for part in parts]
     coeffs = np.zeros((sum(nrows), sum(ncols)))
@@ -389,17 +379,12 @@ def stacked_lp(rng) -> LinearProgram:
         coeffs[r : r + part.rhs.size, c : c + part.num_vars] = dense(part)
     rhs = np.concatenate([part.rhs for part in parts])
     relations = np.concatenate([np.array(part.relations, dtype=str) for part in parts])
-    costs = np.concatenate([part.objective.coeffs for part in parts])
-    bounds = [side for part in parts for side in (part.bounds or ((None, None),) * part.num_vars)]
+    costs = np.concatenate([part.objective for part in parts])
+    bounds = [pair for box in boxes for pair in box]
     rows, cols = rng.permutation(rhs.size), rng.permutation(costs.size)
-    lp = dense_lp(
-        coeffs[rows][:, cols],
-        relations[rows].tolist(),
-        rhs[rows],
-        objective=Objective(costs[cols], sense),
-        bounds=None if all(part.bounds is None for part in parts) else tuple(bounds[j] for j in cols),
-    )
-    return posed(lp, optimize)
+    lp = dense_lp(coeffs[rows][:, cols], relations[rows].tolist(), rhs[rows], objective=costs[cols])
+    lp = with_bounds(lp, [bounds[j] for j in cols])
+    return posed(lp, optimize), lp.rhs.size > rhs.size
 
 
 # Goals-dense timed ops of seed 1 (among ops 0-999) whose phase 1 stops at an
@@ -410,7 +395,10 @@ EARLY_STOP_OPS = (4, 90, 98, 117, 123, 161, 174, 196, 197, 206, 208, 304, 310, 3
 
 @pytest.fixture(scope="module")
 def stacked_corpus() -> list[LinearProgram]:
-    """The 1000 ``stacked_lp`` programs of ``default_rng(1010)``, built once for the tests that share them."""
+    """The 1000 ``stacked_lp`` programs of ``default_rng(1010)`` with their bound-row flags.
+
+    Built once for the tests that share them.
+    """
     rng = np.random.default_rng(1010)
     return [stacked_lp(rng) for _ in range(1000)]
 
@@ -420,9 +408,9 @@ def test_blocks_match_sequential_bland(stacked_corpus):
     seen = {"feasible": 0, "optimal": 0, "infeasible": 0, "unbounded": 0}
     counts = {}
     bounded = equality = signed_zero_rhs = 0
-    for lp in stacked_corpus:
+    for lp, has_bound_rows in stacked_corpus:
         seen[assert_same_solution(lp, counts)] += 1
-        bounded += lp.bounds is not None
+        bounded += has_bound_rows
         equality += "=" in lp.relations
         signed_zero_rhs += bool(np.any(np.signbit(lp.rhs) & (lp.rhs == 0.0)))
     assert min(seen.values()) >= 100, seen
@@ -447,7 +435,7 @@ def test_phase1_cost_row_matches_row_loop(monkeypatch, stacked_corpus):
         built.append(blocks.t.shape[1] - 1)
 
     monkeypatch.setattr(_Blocks, "__init__", checked)
-    for lp in stacked_corpus:
+    for lp, _has_bound_rows in stacked_corpus:
         solve(lp)
     for lp in goal_lps("goals-dense", EARLY_STOP_OPS):
         solve(lp)
@@ -461,7 +449,7 @@ def test_max_violation_matches_row_loop():
     for _ in range(400):
         lp, _optimize, _cost_only = random_lp_with_gaps(rng)
         x = rng.uniform(-12.0, 12.0, size=lp.num_vars)
-        coeffs, _relations, rhs = with_bounds(lp)
+        coeffs, rhs = dense(lp), lp.rhs
         scale = float(np.max(np.abs(coeffs) @ np.abs(x) + np.abs(rhs), initial=1.0))
         tol = 4 * lp.num_vars * np.finfo(np.float64).eps * scale
         assert abs(max_violation(lp, x) - max_violation_loop(lp, x)) <= tol
@@ -491,35 +479,39 @@ def test_boxed_goal_lp_at_m_16384_is_optimal():
     goals = GoalSpec.from_entries(workloads.goal_entries(rng, q.size, 256))
     filters = make_filter("daubechies", 2)
     wrm = build_wrm(q.size, 2, filters)
-    lp = build_constraints(wrm, wrm.apply(decompose(q, filters, 2).approx), goals)
-    n = lp.num_vars
-    lp = replace(lp, objective=Objective(np.ones(n), "minimize"), bounds=((-1e5, 1e5),) * n)
+    goal_lp = build_constraints(wrm, wrm.apply(decompose(q, filters, 2).approx), goals)
+    n = goal_lp.num_vars
+    # minimize the sum: maximize its negation
+    lp = with_bounds(replace(goal_lp, objective=-np.ones(n)), ((-1e5, 1e5),) * n)
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert max_violation(lp, sol.x) <= 1e-7 * max(1.0, float(np.max(np.abs(lp.rhs))))
+    assert max_violation(lp, sol.x) <= 1e-7 * max(1.0, float(np.max(np.abs(goal_lp.rhs))))
     optimize = pytest.importorskip("scipy.optimize")
-    sign = np.where(np.array(lp.relations) == "<=", 1.0, -1.0)
+    sign = np.where(np.array(goal_lp.relations) == "<=", 1.0, -1.0)
     highs = optimize.linprog(
-        np.ones(n), A_ub=dense(lp) * sign[:, None], b_ub=lp.rhs * sign, bounds=(-1e5, 1e5), method="highs"
+        np.ones(n), A_ub=dense(goal_lp) * sign[:, None], b_ub=goal_lp.rhs * sign, bounds=(-1e5, 1e5), method="highs"
     )
     assert highs.status == 0
-    assert abs(sol.objective_value - highs.fun) <= 1e-9 * abs(highs.fun)
+    assert abs(sol.objective_value + highs.fun) <= 1e-9 * abs(highs.fun)
 
 
 def test_bounds_take_no_dense_rows():
-    """4096 columns boxed to +-10 and one goal row: solve allocates far less than 8192 dense unit rows (256 MiB)."""
+    """4096 columns boxed to +-10 by 8192 unit rows given as entries, and one goal row.
+
+    Minimizing the sum, that is maximizing its negation, solve allocates far
+    less than the 8192 rows would take dense (256 MiB).
+    """
     n = 4096
-    lp = LinearProgram(
-        ([0, 0, 0], [0, 1, 2], [1.0, -2.0, 1.0]), n, ("<=",), (5.0,),
-        objective=Objective(np.ones(n), "minimize"), bounds=((-10.0, 10.0),) * n,
-    )
+    goal = LinearProgram(([0, 0, 0], [0, 1, 2], [1.0, -2.0, 1.0]), n, ("<=",), (5.0,), objective=-np.ones(n))
+    lp = with_bounds(goal, ((-10.0, 10.0),) * n)
     tracemalloc.start()
     try:
         sol = solve(lp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.status == "optimal" and sol.objective_value == -40960.0
+    assert lp.rhs.size == 8193 and lp.entries[0].size == 8195
+    assert sol.status == "optimal" and sol.objective_value == 40960.0
     assert peak < 64 * 2**20
 
 

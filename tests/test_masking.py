@@ -543,3 +543,21 @@ def test_non_finite_override_is_a_configuration_error(bad):
     with pytest.raises(ConfigurationError, match="finite"):
         MaskingConfig(goals=WORKED_GOALS, override_coeffs=(bad, 0.0, 0.0, 0.0))
     assert MaskingConfig(goals=WORKED_GOALS, override_coeffs=(1, 2.5)).override_coeffs == (1.0, 2.5)
+
+
+@pytest.mark.xfail(strict=True, raises=MaskingError, reason=(
+    "ROADMAP item 5: phase 1 calls a goal set infeasible although a_k meets every row; "
+    "an rhs normalisation or a per-block a_k check should release it"))
+def test_goals_met_by_the_original_approximation_are_not_infeasible():
+    """Signal-wide seed 24, timed op 1216: a_k meets its 128 raise/lower rows, so a release must exist."""
+    workloads = bench_workloads()
+    inp = workloads.WORKLOADS["signal-wide"].make(24, workloads.STREAM_TIMED, 1216, None)
+    family, order = workloads.WAVELET
+    config = MaskingConfig(goals=GoalSpec.from_entries(inp["goals"]), family=family, order=order, level=inp["level"])
+    q = np.asarray(inp["q"], dtype=np.int64)
+    filters = make_filter(family, order)
+    wrm = build_wrm(q.size, config.level, filters)
+    approx = decompose(q, filters, config.level).approx
+    assert max_violation(build_constraints(wrm, wrm.apply(approx), config.goals), approx) <= 1e-12
+    result = mask_signal(q, config)
+    assert all(check.satisfied for check in result.goal_report)
