@@ -30,21 +30,12 @@ exact ratio ties (lowest basic index).  Each block decides for itself:
 So no verdict depends on a float sum over other blocks, whose rounding
 grows with their number and the size of their rhs.
 
-The phase-1 cost row needs no pass over the rows.  At phase-1 start every
-real row's basic variable is its artificial, at cost -1, so sequential
-Bland's row is -costs plus (-1) * t[r] for each real row r in row order
-(padded rows cost 0), and x + (-1 * v) is x - v exactly.  So it is -costs
-minus each row's x+ values, their negations in x-, its slack and its rhs,
-taken in row order by one ``np.subtract.at`` (which applies its terms in
-index order): every non-zero entry has the same bits.  An artificial's
-entry, +1 less its own row's 1, is exactly 0 and is left out.  A zero entry
-of a row adds +-0, which only flips the sign of a zero cost entry, and no
-output reads that: the cost row is read only by ``< -PIVOT_TOL`` and
-``< -FEAS_TOL`` tests and ``f * pivot_row`` updates, and phase 2 rebuilds
-the row from scratch (``set_objective``).  The x- entries are written one
-by one too, so a zero there is +0 where negating all of x+ would give -0;
-no output reads the sign of a zero tableau entry (a zero ``f`` updates
-nothing, and ``x`` comes from the rhs column alone).
+Both cost rows follow Bland's rule: -costs, plus each row times its basic
+cost, in row order, as one numpy sum down the row axis.  numpy reduces a
+non-innermost axis by adding whole rows in index order, so on a finite
+tableau the sum has the sequential bits; only a zero's sign may differ, and
+no output reads it.  In phase 1 each real row's basic variable is its
+artificial, at cost -1, so the row is minus the sum of the rows.
 """
 
 from __future__ import annotations
@@ -168,24 +159,17 @@ class _Blocks:
         self.t[row_block[rows], row_local[rows], column] = x_plus
         self.t[row_block[rows], row_local[rows], self.width + column] = -x_plus
         self.t[row_block[slack], row_local[slack], slack_col] = slack_sign
-        self.t[row_block, row_local, art_at + row_local] = 1.0
         self.t[row_block, row_local, -1] = self.rhs
+        # the phase-1 cost row by the module docstring's rule, summed before the artificials go in (1 - 1 = 0 there)
+        self.t[:, -1] = -self.t[:, :-1].sum(axis=1)
+        self.t[row_block, row_local, art_at + row_local] = 1.0
         self.basis = np.full((nb, height), -1)
         self.basis[row_block, row_local] = art_at + row_local
-        # the phase-1 cost row: the same entries, subtracted in row order (see the module docstring)
-        block = np.concatenate((row_block[rows], row_block[rows], row_block[slack], row_block))
-        cost_column = np.concatenate((column, self.width + column, slack_col, np.full(nr, art_at + height)))
-        at = np.ravel_multi_index((block, np.full(block.size, height), cost_column), self.t.shape)
-        np.subtract.at(self.t.reshape(-1), at, np.concatenate((x_plus, -x_plus, slack_sign, self.rhs)))
 
     def set_objective(self, costs: np.ndarray) -> None:
-        """Phase-2 cost row of maximizing costs . x: -costs, then cb * row for each row with cb != 0, in row order."""
-        cb = np.take_along_axis(np.pad(costs, ((0, 0), (0, 1))), self.basis, axis=1)
-        bottom = self.t[:, -1]
-        bottom[:] = 0.0
-        bottom[:, :-1] = -costs
-        for row in range(cb.shape[1]):
-            np.add(bottom, cb[:, row, None] * self.t[:, row], out=bottom, where=cb[:, row, None] != 0.0)
+        """Phase-2 cost row of maximizing costs . x by the module docstring's rule; costs is 0 at the rhs."""
+        cb = np.take_along_axis(costs, self.basis, axis=1)  # a padded row's basis -1 takes the rhs's 0
+        self.t[:, -1] = np.concatenate((-costs[:, None], cb[:, :, None] * self.t[:, :-1]), axis=1).sum(axis=1)
 
     def run(self, width: int) -> tuple[int, bool]:
         """Rounds of Bland's rule entering among the first ``width`` columns.
@@ -281,7 +265,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(status="feasible", x=x, pivots=pivots)
 
     gain = lp.objective[columns]
-    costs = np.zeros(blocks.t[:, -1, :-1].shape)
+    costs = np.zeros(blocks.t[:, -1].shape)
     costs[blocks.col_block, blocks.col_local] = gain
     costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
     blocks.set_objective(costs)

@@ -259,7 +259,11 @@ def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
             raise MaskingError(f"override coefficients violate the goal rows by up to {worst:.6g}")
         return x
 
-    solution = solve(lp)
+    try:  # goal limits near the float maximum can overflow the LP's arithmetic, which would then run on NaNs
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            solution = solve(lp)
+    except FloatingPointError as exc:
+        raise MaskingError(f"goal LP leaves the float range: {exc}") from None
     if solution.status == "infeasible":
         raise MaskingError("goals unsatisfiable: no coefficient vector meets every row")
     return solution.x

@@ -319,6 +319,32 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def integer_release(tmp_path):
+    """The worked example's counts masked with goal 1 lower and goal 5 raise, released as integers (the CI example)."""
+    signal = tmp_path / "q.txt"
+    signal.write_text("".join(f"{int(v)}\n" for v in Q16))
+    goals = tmp_path / "goals.json"
+    goals.write_text(json.dumps([{"index": 1, "goal": "lower"}, {"index": 5, "goal": "raise"}]))
+    masked = tmp_path / "masked.txt"
+    assert main(["mask-signal", "--input", str(signal), "--goals", str(goals), "--output", str(masked)]) == 0
+    return ["verify", "--original", str(signal), "--masked", str(masked)]
+
+
+def test_verify_accepts_an_integer_release_at_a_rounding_tolerance(tmp_path, capsys):
+    # rounding to integers moves the details by up to 1.92e-4 of the largest scaled detail here
+    assert main(integer_release(tmp_path) + ["--tol", "1e-3"]) == 0
+    out = capsys.readouterr().out
+    assert "sum-preservation: pass" in out
+    assert "detail-proportionality: pass (ratio 0.849571727333, max relative deviation 0.000192)" in out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: the default --tol 1e-6 suits the pre-rounding signal, and rounding alone "
+    "moves an integer release's details by about 2e-4; verify needs a derived integer check"))
+def test_verify_accepts_an_integer_release_at_the_default_tolerance(tmp_path):
+    assert main(integer_release(tmp_path)) == 0
+
+
 def test_mask_microfile_end_to_end(tmp_path, monkeypatch):
     records = [("1", "A")] * 6 + [("1", "B"), ("1", "C"), ("0", "A"), ("0", "D")]
     table = MicrofileTable(attributes=("mil", "area"), records=tuple(records))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -30,7 +31,7 @@ from refdata import (
     worked_goal_entries,
 )
 from wavemask import masking
-from wavemask.errors import ConfigurationError, DataError, MaskingError
+from wavemask.errors import ConfigurationError, DataError, MaskingError, WavemaskError
 from wavemask.lp import max_violation, solve
 from wavemask.masking import (
     GOAL_TOL,
@@ -543,6 +544,79 @@ def test_non_finite_override_is_a_configuration_error(bad):
     with pytest.raises(ConfigurationError, match="finite"):
         MaskingConfig(goals=WORKED_GOALS, override_coeffs=(bad, 0.0, 0.0, 0.0))
     assert MaskingConfig(goals=WORKED_GOALS, override_coeffs=(1, 2.5)).override_coeffs == (1.0, 2.5)
+
+
+def test_every_release_keeps_its_promises():
+    """mask_signal releases what it promises, or refuses with a WavemaskError, and never warns.
+
+    The promises: q_scaled is finite and >= 0, q_tilde is >= 0, and with sum
+    repair q_tilde sums to q's total.  The existing checks imply them, so no
+    release gate is needed.  q_hat is checked finite and the offset is
+    finite, so the shifted total is finite or refused, and the shifted
+    minimum is checked >= 0.  The scale is checked finite and > 0, and no
+    shifted entry exceeds the total, so scale * q_shifted is finite and >= 0.
+    round_and_repair never lowers a zero, and it loops until it meets the
+    total.  Goal limits near the float maximum can overflow the LP's
+    arithmetic; mask_signal refuses that at the first overflow, where the
+    pinned examples once warned or spun.  Counts reach totals of 2**52;
+    limits, offsets and overrides reach 1e308.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    limit = st.floats(-1e308, 1e308)
+
+    def bound(pair, keep):
+        return {"goal": "bound", **{key: value for key, value in zip(("min", "max"), sorted(pair)) if key in keep}}
+
+    goal = st.one_of(st.sampled_from([{"goal": "raise"}, {"goal": "lower"}, {"goal": "free"}]),
+                     st.builds(bound, st.tuples(limit, limit), st.sampled_from((("min",), ("max",), ("min", "max")))))
+
+    @st.composite
+    def runs(draw):
+        level, m = draw(st.sampled_from((1, 2))), draw(st.sampled_from((4, 8, 16)))
+        q = draw(st.lists(st.integers(0, draw(st.sampled_from((100, 2**52 // m)))), min_size=m, max_size=m))
+        goals = draw(st.dictionaries(st.integers(1, m), goal, min_size=1, max_size=m))
+        override = st.lists(limit, min_size=m >> level, max_size=m >> level)
+        return (
+            np.array(q, dtype=np.int64),
+            [{"index": index, **entry} for index, entry in goals.items()],
+            dict(level=level, fixed_offset=draw(st.none() | st.floats(0.0, 1e308)),
+                 override_coeffs=draw(st.none() | override), sum_repair=draw(st.booleans())),
+        )
+
+    def near_max(q, entries, offset=None):  # limits near the float maximum once overflowed the LP's arithmetic
+        options = dict(level=1, fixed_offset=offset, override_coeffs=None, sum_repair=False)
+        return np.array(q, dtype=np.int64), entries, options
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(runs())
+    # overflow warnings in a pivot's product, in a ratio, in the phase-1 cost row
+    @hypothesis.example(near_max([0] * 8, [{"index": 1, "goal": "bound", "min": 0.0, "max": 2.326386102762107e307},
+                                           {"index": 2, "goal": "raise"}, {"index": 3, "goal": "raise"}]))
+    @hypothesis.example(near_max([0] * 4, [{"index": 1, "goal": "raise"},
+                                           {"index": 2, "goal": "bound", "min": 4.029418928006123e307}]))
+    @hypothesis.example(near_max([0] * 4, [{"index": 1, "goal": "bound", "min": 8.988465674311579e307},
+                                           {"index": 2, "goal": "bound", "min": 8.98846567431158e307}]))
+    # a NaN ratio test picked a zero pivot, and a simplex on NaNs ran 10 s to its iteration limit's RuntimeError
+    @hypothesis.example(near_max([100, 83, 100, 31], [{"index": 1, "goal": "lower"}, {"index": 3, "goal": "raise"},
+                                                      {"index": 2, "goal": "bound", "min": -1e308, "max": -1e308},
+                                                      {"index": 4, "goal": "lower"}], 8.902054515960065e307))
+    @hypothesis.example(near_max([0] * 4, [{"index": 3, "goal": "lower"}, {"index": 1, "goal": "raise"},
+                                           {"index": 2, "goal": "bound", "min": -9.99999999999992e307,
+                                            "max": -9.99999999999992e307}]))
+    def check(run):
+        q, entries, options = run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = mask_signal(q, MaskingConfig(goals=GoalSpec.from_entries(entries), **options))
+            except WavemaskError:
+                return
+        assert np.all(np.isfinite(result.q_scaled)) and result.q_scaled.min() >= 0.0
+        assert result.q_tilde.min() >= 0
+        assert not options["sum_repair"] or result.q_tilde.sum() == q.sum()
+
+    check()
 
 
 @pytest.mark.xfail(strict=True, raises=MaskingError, reason=(
