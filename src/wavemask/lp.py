@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MaskingError
 from .wavelet import _frozen
 
 PIVOT_TOL = 1e-9
@@ -244,7 +244,8 @@ class _Blocks:
 def solve(lp: LinearProgram) -> LpSolution:
     """Maximize ``lp.objective`` when it is set; without one, stop at the first basic feasible point.
 
-    Deterministic: identical inputs produce identical solutions.
+    Deterministic.  The first overflow, division by zero or NaN raises ``MaskingError``; on finite values
+    Bland's rule cannot cycle, and only rounding or an exponential pivot run could meet the iteration limit.
     """
     rows, cols, values = lp.entries
     # A column zero in every row and in the cost keeps a reduced cost of
@@ -253,25 +254,29 @@ def solve(lp: LinearProgram) -> LpSolution:
     touched = np.zeros(lp.num_vars, dtype=bool) if lp.objective is None else lp.objective != 0.0
     touched[cols] = True
     columns = np.flatnonzero(touched)
-    blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, np.array(lp.relations, dtype=str), lp.rhs)
-    pivots, _stuck = blocks.run(blocks.t.shape[2] - 1)  # a stuck block keeps its residual
-    if np.any(blocks.t[:, -1, -1] < -FEAS_TOL):
-        return LpSolution(status="infeasible", pivots=pivots)
-    pivots += blocks.drop_artificials()
+    try:  # limits near the float maximum would otherwise overflow and pivot on NaNs
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            blocks = _Blocks((rows, np.searchsorted(columns, cols), values), columns.size, np.array(lp.relations, dtype=str), lp.rhs)
+            pivots, _stuck = blocks.run(blocks.t.shape[2] - 1)  # a stuck block keeps its residual
+            if np.any(blocks.t[:, -1, -1] < -FEAS_TOL):
+                return LpSolution(status="infeasible", pivots=pivots)
+            pivots += blocks.drop_artificials()
 
-    x = np.zeros(lp.num_vars)
-    if lp.objective is None:
-        x[columns] = blocks.extract()
-        return LpSolution(status="feasible", x=x, pivots=pivots)
+            x = np.zeros(lp.num_vars)
+            if lp.objective is None:
+                x[columns] = blocks.extract()
+                return LpSolution(status="feasible", x=x, pivots=pivots)
 
-    gain = lp.objective[columns]
-    costs = np.zeros(blocks.t[:, -1].shape)
-    costs[blocks.col_block, blocks.col_local] = gain
-    costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
-    blocks.set_objective(costs)
-    made, stuck = blocks.run(blocks.art_at)
-    pivots += made
-    if stuck:
-        return LpSolution(status="unbounded", pivots=pivots)
-    x[columns] = blocks.extract()
-    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x), pivots=pivots)
+            gain = lp.objective[columns]
+            costs = np.zeros(blocks.t[:, -1].shape)
+            costs[blocks.col_block, blocks.col_local] = gain
+            costs[blocks.col_block, blocks.width + blocks.col_local] = -gain
+            blocks.set_objective(costs)
+            made, stuck = blocks.run(blocks.art_at)
+            pivots += made
+            if stuck:
+                return LpSolution(status="unbounded", pivots=pivots)
+            x[columns] = blocks.extract()
+            return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x), pivots=pivots)
+    except FloatingPointError as exc:
+        raise MaskingError(f"goal LP leaves the float range: {exc}") from None

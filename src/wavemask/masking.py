@@ -1,20 +1,19 @@
 """Count-signal masking by constrained rewrite of the wavelet approximation.
 
 Pipeline, run in line by ``mask_signal``, the only producer of a complete
-``MaskingResult``: decompose the signal, build per-position raise/lower/bound
-rows over the reconstruction matrix, obtain replacement approximation
-coefficients (the LP's first feasible point, or a caller-supplied override
-vector), reassemble with the original detail bands, shift to
-non-negativity, rescale so the total is preserved, and round.
+``MaskingResult``: decompose the signal, build per-position raise/lower/bound rows over
+the reconstruction matrix A, obtain replacement coefficients x for the approximation
+a_k (the LP's first feasible point, or a caller-supplied override vector), reassemble
+as q_hat = q + (A x - A a_k), shift to non-negativity, rescale to q's total, and round.
 
 Goals become rows through one table per goal set (``GoalSpec.table``, built
 on first use): the non-free positions in order and, per limit row, its goal,
 its relation and its fixed limit, NaN standing for "the current value".
 ``build_constraints`` and ``evaluate_goals`` both read it.
 
-The detail bands are carried over untouched, so after the final rescale every
-detail coefficient of the masked signal equals the original one times the
-scale factor: the redistribution only ever touches the approximation.
+The detail bands are carried over untouched: q = A a_k + its synthesised details,
+so q_hat - q = A (x - a_k) lies in the approximation space, and after the final
+rescale every detail coefficient is the original one times the scale factor.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, MaskingError
 from .lp import LinearProgram, max_violation, solve
-from .wavelet import INTP_MAX, Decomposition, _frozen, as_signal, decompose, make_filter, reconstruct_component
+from .wavelet import INTP_MAX, Decomposition, _frozen, as_signal, decompose, make_filter
 from .wrm import ReconstructionMatrix, build_wrm
 
 GOAL_TOL = 1e-7
@@ -259,11 +258,7 @@ def solve_approximation(lp: LinearProgram, config: MaskingConfig) -> np.ndarray:
             raise MaskingError(f"override coefficients violate the goal rows by up to {worst:.6g}")
         return x
 
-    try:  # goal limits near the float maximum can overflow the LP's arithmetic, which would then run on NaNs
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            solution = solve(lp)
-    except FloatingPointError as exc:
-        raise MaskingError(f"goal LP leaves the float range: {exc}") from None
+    solution = solve(lp)
     if solution.status == "infeasible":
         raise MaskingError("goals unsatisfiable: no coefficient vector meets every row")
     return solution.x
@@ -337,9 +332,7 @@ def mask_signal(q, config: MaskingConfig) -> MaskingResult:
     new_coeffs = solve_approximation(lp, config)
     with np.errstate(over="ignore", invalid="ignore"):  # a q_hat that is not finite is refused below
         new_approx = wrm.apply(new_coeffs)
-        q_hat = new_approx.copy()
-        for j, band in enumerate(dec.details, start=1):
-            q_hat += reconstruct_component(band, "detail", j, dec.length, filters)
+        q_hat = q + (new_approx - base_approx)
     if not np.all(np.isfinite(q_hat)):
         raise MaskingError("reassembled signal is not finite: it overflows the float range")
 

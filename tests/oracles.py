@@ -29,7 +29,7 @@ from wavemask.masking import (
     solve_approximation,
 )
 from wavemask.microdata import MicrofileTable, Move
-from wavemask.wavelet import as_signal, decompose, make_filter, reconstruct_component
+from wavemask.wavelet import as_signal, decompose, make_filter
 from wavemask.wrm import build_wrm
 
 
@@ -85,8 +85,8 @@ def reconstruct_component_add_at(coeffs, kind: str, level: int, filters) -> np.n
 def mask_signal_two_results(q, config):
     """``mask_signal`` as it was built from two results: the reassembly as a function of its own, then the rest.
 
-    The reassembly keeps its standalone form: its own copy of q, the detail
-    bands through the decomposition's filters, and the offset cases one by one.
+    The reassembly keeps its standalone form: its own copy of q, its own
+    A a_k from the decomposition, and the offset cases one by one.
     """
     q = as_signal(q)
     filters = make_filter(config.family, config.order)
@@ -101,13 +101,11 @@ def mask_signal_two_results(q, config):
 
 
 def _reassembled(q, dec, new_coeffs, config, wrm) -> dict:
-    """Detail bands added back, the non-negativity shift and the rescale to q's total, as named result fields."""
+    """The approximation's change added to q, the non-negativity shift and the rescale to q's total, as named result fields."""
     q = as_signal(q)
     new_coeffs = np.asarray(new_coeffs, dtype=np.float64)
     new_approx = wrm.apply(new_coeffs)
-    q_hat = new_approx.copy()
-    for j, band in enumerate(dec.details, start=1):
-        q_hat += reconstruct_component(band, "detail", j, dec.length, dec.filters)
+    q_hat = q + (new_approx - wrm.apply(dec.approx))
     low = q_hat.min()
     if low >= 0.0:
         offset = 0.0

@@ -1,5 +1,6 @@
 """Two-phase simplex: statuses, feasibility guarantees, oracle agreement."""
 
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -20,9 +21,9 @@ from oracles import (
     with_bounds,
 )
 from refdata import A2_HAT, LOWER_POSITIONS, Q16, RAISE_POSITIONS
-from wavemask.errors import ConfigurationError
+from wavemask.errors import ConfigurationError, MaskingError
 from wavemask.lp import PIVOT_TOL, RELATIONS, LinearProgram, _Blocks, max_violation, solve
-from wavemask.masking import GoalSpec, build_constraints
+from wavemask.masking import Goal, GoalSpec, build_constraints
 from wavemask.wavelet import decompose, make_filter
 from wavemask.wrm import build_wrm
 
@@ -102,6 +103,24 @@ def test_degenerate_instance_terminates():
     sol = solve(lp)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 0.05) < 1e-9
+
+
+@pytest.mark.parametrize("last", [3, 4])
+def test_limits_beyond_the_float_range_raise_at_once(last):
+    """A bound of -1e308 overflows the tableau: solve refuses it at the first overflow.
+
+    With the lower goal at 3 it once pivoted on NaNs for seconds to the
+    iteration limit's RuntimeError; at 4 it overflowed and then called the
+    goals infeasible.
+    """
+    filters = make_filter("daubechies", 2)
+    wrm = build_wrm(4, 1, filters)
+    goals = {1: Goal("raise"), 2: Goal("bound", lower=-1e308, upper=-1e308), last: Goal("lower")}
+    lp = build_constraints(wrm, wrm.apply(decompose(np.zeros(4), filters, 1).approx), GoalSpec(goals))
+    start = time.perf_counter()
+    with pytest.raises(MaskingError, match="goal LP leaves the float range"):
+        solve(lp)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_ratio_tie_leaves_lowest_basic_index():

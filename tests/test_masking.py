@@ -48,13 +48,15 @@ from wavemask.masking import (
     round_half_away,
     solve_approximation,
 )
-from wavemask.wavelet import decompose, make_filter
-from wavemask.wrm import build_wrm
+from wavemask.wavelet import decompose, make_filter, reconstruct_component
+from wavemask.wrm import ReconstructionMatrix, build_wrm
 
 D4 = make_filter("daubechies", 2)
 HAAR = make_filter("haar", 1)
 
 WORKED_GOALS = GoalSpec.from_entries(worked_goal_entries())
+# zero counts at positions 1 and 9
+PROBE16 = np.array([0, 3, 5, 2, 7, 1, 4, 6, 0, 2, 3, 1, 5, 2, 4, 3])
 
 
 def worked_parts():
@@ -327,7 +329,12 @@ def test_reassembly_beyond_the_float_range_is_refused(monkeypatch):
     with pytest.raises(MaskingError, match="degenerate scale: shifted signal sums to inf"):
         mask_signal(q, config)
     # the synthesis gains stay below 1, so below 2**53 only a fault can make the reassembly overflow
-    monkeypatch.setattr(masking, "reconstruct_component", lambda *args: np.full(8, math.inf))
+    apply = ReconstructionMatrix.apply
+
+    def fault(wrm, coeffs):  # the override's approximation overflows; a_k's goes through untouched
+        return np.full(8, math.inf) if np.array_equal(coeffs, config.override_coeffs) else apply(wrm, coeffs)
+
+    monkeypatch.setattr(ReconstructionMatrix, "apply", fault)
     with pytest.raises(MaskingError, match="reassembled signal is not finite"):
         mask_signal(q, config)
 
@@ -431,15 +438,27 @@ def test_mask_signal_feasibility_mode_meets_goals():
 
 
 def test_mask_signal_identity_config():
+    """An override equal to a_k releases q exactly, with offset 0, also where q holds zero counts.
+
+    Inputs: Q16 under two bound goals; the zero-count m = 16 probe, where
+    synthesising the detail bands again once gave q_hat a -5.6e-17 minimum
+    and offset 1; and signal-wide seed 1 ops 0-49.
+    """
     dec = decompose(Q16, D4, 2)
     grid = gather_rows(build_wrm(16, 2, D4)) @ dec.approx
     spec = GoalSpec(by_index={
         1: Goal(kind="bound", upper=float(grid[0]) + 1.0),
         5: Goal(kind="bound", lower=float(grid[4]) - 1.0),
     })
-    config = MaskingConfig(goals=spec, override_coeffs=tuple(dec.approx))
-    result = mask_signal(Q16, config)
-    assert np.array_equal(result.q_tilde, Q16.astype(np.int64))
+    runs = [(Q16, MaskingConfig(goals=spec)), (PROBE16, MaskingConfig(goals=GoalSpec({2: Goal("raise")})))]
+    workloads = bench_workloads()
+    workload = workloads.WORKLOADS["signal-wide"]
+    runs += [workload.prepare(wavemask, workload.make(1, workloads.STREAM_TIMED, index, None)) for index in range(50)]
+    for q, config in runs:
+        approx = decompose(q, make_filter(config.family, config.order), config.level).approx
+        result = mask_signal(q, dataclasses.replace(config, override_coeffs=tuple(approx)))
+        assert result.offset == 0.0
+        assert np.array_equal(result.q_tilde, np.asarray(q, dtype=np.int64))
 
 
 def test_mask_signal_rejects_bad_input():
@@ -516,6 +535,26 @@ def test_mask_signal_matches_two_result_build():
         assert same_bits(got, want), index
 
 
+def test_reassembly_from_the_change_matches_the_detail_synthesis():
+    """q_hat = q + (A x - A a_k) is A x plus every detail band synthesised again, to rounding.
+
+    On signal-wide and goals-dense seed 1 ops 0-99, within 1e-13 of the
+    largest of 1, max |q| and max |A x|.
+    """
+    workloads = bench_workloads()
+    for name in ("signal-wide", "goals-dense"):
+        workload = workloads.WORKLOADS[name]
+        for index in range(100):
+            q, config = workload.prepare(wavemask, workload.make(1, workloads.STREAM_TIMED, index, None))
+            result = mask_signal(q, config)
+            dec = result.decomposition
+            synthesised = result.new_approx.copy()
+            for j, band in enumerate(dec.details, start=1):
+                synthesised += reconstruct_component(band, "detail", j, dec.length, dec.filters)
+            scale = max(1.0, np.max(np.abs(result.q)), np.max(np.abs(result.new_approx)))
+            assert np.max(np.abs(result.q_hat - synthesised)) <= 1e-13 * scale, (name, index)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         MaskingConfig(goals=WORKED_GOALS, level=0)
@@ -557,7 +596,7 @@ def test_every_release_keeps_its_promises():
     shifted entry exceeds the total, so scale * q_shifted is finite and >= 0.
     round_and_repair never lowers a zero, and it loops until it meets the
     total.  Goal limits near the float maximum can overflow the LP's
-    arithmetic; mask_signal refuses that at the first overflow, where the
+    arithmetic; the LP solver refuses that at the first overflow, where the
     pinned examples once warned or spun.  Counts reach totals of 2**52;
     limits, offsets and overrides reach 1e308.
     """
