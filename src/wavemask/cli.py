@@ -325,11 +325,11 @@ def _cmd_wrm(eff: dict) -> int:
 
 def _proportionality(d_orig: np.ndarray, d_masked: np.ndarray) -> tuple[float, float]:
     """Least-squares ratio and the worst relative deviation from it."""
-    denom = float(d_orig @ d_orig)
+    denom = float((d_orig * d_orig).sum())
     if denom == 0.0:
         deviation = float(np.max(np.abs(d_masked))) if d_masked.size else 0.0
         return 0.0, deviation
-    ratio = float(d_masked @ d_orig) / denom
+    ratio = float((d_masked * d_orig).sum()) / denom
     residual = float(np.max(np.abs(d_masked - ratio * d_orig)))
     scale = max(1.0, float(np.max(np.abs(ratio * d_orig))))
     return ratio, residual / scale

@@ -5,12 +5,11 @@ indexing convention:
 
     analysis:   out[i] = sum_j f[j] * in[(2*i - 1 + j) mod M],  i = 0 .. M/2-1
 
-Synthesis is the exact adjoint (transpose) of that map, which guarantees
-perfect reconstruction for orthonormal filter pairs and pins the dense
-reconstruction operator uniquely.  The -1 phase offset is deliberate and
-calibrated by golden tests; do not change it without re-running those.
-
-Everything here is a pure function of its inputs; the dataclasses freeze
+summed in ascending j, one strided add per tap and no BLAS call.  Synthesis
+is the exact adjoint (transpose): orthonormal pairs reconstruct perfectly,
+and the dense reconstruction operator is unique.  The -1 phase is pinned by
+golden tests.  Everything here is a pure function of its inputs to the last
+bit, so a release is a function of its input alone; the dataclasses freeze
 their arrays so instances can be shared across threads.
 """
 
@@ -132,24 +131,25 @@ def make_filter(family: str, order: int) -> FilterPair:
     return FilterPair(lowpass=lo, highpass=derive_highpass(lo), name=f"daubechies:{order}")
 
 
-def _analysis_index(half: int, taps: int, m: int) -> np.ndarray:
-    # (2i - 1 + j) mod M for the full (i, j) grid; the -1 phase is normative.
-    return (2 * np.arange(half)[:, None] - 1 + np.arange(taps)[None, :]) % m
-
-
 def analysis_step(values, filt) -> np.ndarray:
-    """One filter-and-decimate pass: length M (even) down to M/2.
+    """One filter-and-decimate pass: length M (even, shorter than the filter too) down to M/2.
 
-    Periodic extension: indices wrap modulo M, so inputs shorter than the
-    filter are fine as long as M is even.
+    Tap j of output i reads (2i - 1 + j) mod M = 2 * ((i + shift) mod M/2) + (j - 1) mod 2:
+    one strided product per tap, added in two slices, j ascending from 0.0.
     """
     x = np.asarray(values, dtype=np.float64)
     f = np.asarray(filt, dtype=np.float64)
     m = x.size
     if m < 2 or m % 2:
         raise ShapeError(f"analysis step needs an even input length >= 2, got {m}")
-    idx = _analysis_index(m // 2, f.size, m)
-    return x[idx] @ f
+    half = m // 2
+    out = np.zeros(half)
+    for j in range(f.size):
+        band = f[j] * x[(j - 1) % 2 :: 2]  # output i takes band[(i + shift) mod half]
+        shift = (j - 1) // 2 % half
+        out[: half - shift] += band[shift:]
+        out[half - shift :] += band[:shift]
+    return out
 
 
 def synthesis_step(coeffs, filt) -> np.ndarray:

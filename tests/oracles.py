@@ -63,6 +63,18 @@ def decompose_dense(signal, lowpass, highpass, level: int):
     return a, details
 
 
+def analysis_step_grid(values, filt) -> np.ndarray:
+    """One analysis step from the gathered (2i - 1 + j) mod M index grid, one column per tap in ascending j."""
+    x = np.asarray(values, dtype=np.float64)
+    f = np.asarray(filt, dtype=np.float64)
+    m = x.size
+    idx = (2 * np.arange(m // 2)[:, None] - 1 + np.arange(f.size)[None, :]) % m
+    out = np.zeros(m // 2)
+    for j in range(f.size):
+        out = out + f[j] * x[idx[:, j]]
+    return out
+
+
 def synthesis_step_add_at(coeffs, filt) -> np.ndarray:
     """One synthesis step by np.add.at over the analysis index, row-major over (coefficient, tap)."""
     c = np.asarray(coeffs, dtype=np.float64)

@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,6 +558,59 @@ def test_reassembly_from_the_change_matches_the_detail_synthesis():
                 synthesised += reconstruct_component(band, "detail", j, dec.length, dec.filters)
             scale = max(1.0, np.max(np.abs(result.q)), np.max(np.abs(result.new_approx)))
             assert np.max(np.abs(result.q_hat - synthesised)) <= 1e-13 * scale, (name, index)
+
+
+# Prints one SHA-256 over a_k, the detail bands, new_coeffs and q_tilde of
+# goals-dense seed 1 ops 0-39, then one over verify's ratio and deviation of q_scaled.
+KERNEL_PROBE = """
+import hashlib
+
+import numpy as np
+import wavemask
+from oracles import bench_workloads
+from wavemask.cli import _proportionality
+from wavemask.masking import mask_signal
+from wavemask.wavelet import decompose
+
+workloads = bench_workloads()
+workload = workloads.WORKLOADS["goals-dense"]
+release, verify = hashlib.sha256(), hashlib.sha256()
+for index in range(40):
+    q, config = workload.prepare(wavemask, workload.make(1, workloads.STREAM_TIMED, index, None))
+    result = mask_signal(q, config)
+    dec = result.decomposition
+    for part in (dec.approx, *dec.details, result.new_coeffs, result.q_tilde):
+        release.update(part.tobytes())
+    scaled = decompose(result.q_scaled, dec.filters, dec.level).details
+    verify.update(np.array(_proportionality(np.concatenate(dec.details), np.concatenate(scaled))).tobytes())
+print(release.hexdigest())
+print(verify.hexdigest())
+"""
+
+
+def _dynamic_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 takes no mode
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _dynamic_openblas(),
+                    reason="needs numpy on an OpenBLAS built with DYNAMIC_ARCH, on x86-64")
+def test_release_does_not_depend_on_the_blas_kernel():
+    """mask_signal and verify's proportionality give the same bits under three OpenBLAS kernels, each set in a child alone."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH"))))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    outputs = []
+    for kernel in (None, "Sandybridge", "Prescott"):
+        child = {**env, "PYTHONPATH": path, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})}
+        proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=child, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len({release for release, _verify in outputs}) == 1, outputs
+    assert len({verify for _release, verify in outputs}) == 1, outputs
 
 
 def test_config_validation():

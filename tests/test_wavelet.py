@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import analysis_matrix, decompose_dense, random_lowpass, reconstruct_component_add_at, synthesis_step_add_at
+from oracles import (
+    analysis_matrix,
+    analysis_step_grid,
+    decompose_dense,
+    random_lowpass,
+    reconstruct_component_add_at,
+    synthesis_step_add_at,
+)
 from refdata import A1_2DP, A2_3DP, Q16
 from wavemask.errors import ConfigurationError, DataError, ShapeError
 from wavemask.wavelet import (
@@ -223,6 +230,18 @@ def test_constant_capture():
         assert np.max(np.abs(d)) < 1e-12
     approx = reconstruct_component(dec.approx, "approx", 2, 16, filt)
     assert np.allclose(approx, x, atol=1e-11)
+
+
+def test_analysis_step_matches_grid_bitwise():
+    """Strided products sum each output's taps in the grid's ascending tap order, wrap included, for every even m up to 4096."""
+    rng = np.random.default_rng(43)
+    for order in (1, 2, 3):
+        filters = make_filter("daubechies", order)
+        for m in range(2, 4097, 2):
+            x = rng.normal(size=m) * 10.0 ** rng.integers(-8, 9)
+            x[rng.random(x.size) < 0.1] = -0.0
+            for band in (filters.lowpass, filters.highpass):
+                assert analysis_step(x, band).tobytes() == analysis_step_grid(x, band).tobytes()
 
 
 def test_synthesis_step_matches_add_at_bitwise():
